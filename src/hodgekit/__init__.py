@@ -83,6 +83,7 @@ from .states import (
     TorusForm,
     TorusSurfaceClass,
     homology_pairing,
+    is_anti_self_dual,
     is_self_dual,
     pairing_is_degenerate,
     perturbed_stationarity,

@@ -322,9 +322,12 @@ def _cmd_states(args) -> int:
     ref = make_refinement(cv.STANDARD_STAR)
     gen = dyn.hodge_generator(ref)
     eta = st.poincare_dual(sigma)
-    dual_sd = st.is_self_dual(eta)
-    omega_sd = st.is_self_dual(omega)
-    expected_stationary = dual_sd and omega_sd
+    dual_sd, dual_asd = st.is_self_dual(eta), st.is_anti_self_dual(eta)
+    omega_sd, omega_asd = st.is_self_dual(omega), st.is_anti_self_dual(omega)
+    # F is flow-invariant for every A exactly when eta and omega share a
+    # star eigenspace or one of them is zero; only zero is in both.
+    expected_stationary = ((dual_sd and dual_asd) or (omega_sd and omega_asd)
+                           or (dual_sd and omega_sd) or (dual_asd and omega_asd))
 
     rng = np.random.default_rng(args.seed)
     samples = [random_matrix(rng, 6) for _ in range(20)]
@@ -343,6 +346,8 @@ def _cmd_states(args) -> int:
         "poincare_dual": [float(x) for x in eta],
         "dual_self_dual": dual_sd,
         "omega_self_dual": omega_sd,
+        "dual_anti_self_dual": dual_asd,
+        "omega_anti_self_dual": omega_asd,
         "max_derivative": base,
         "max_perturbed_derivative": pert,
         "stationary": stationary,

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_operator, expm_normal, frobenius
+from .linalg import DEFAULT_TOL, adjoint, as_operator, frobenius
+# Re-exported: perfbench/tracing.py wraps expm_normal in this namespace too.
+from .linalg import expm_normal  # noqa: F401
 from .einstein import Refinement
 
 # CODATA 2018 values, SI units.
@@ -59,8 +61,11 @@ def hodge_generator(refinement: Refinement) -> HodgeGenerator:
 
 
 def star_power(gen: HodgeGenerator, t: float) -> np.ndarray:
-    """star^t = exp(t log star); unitary, period two, star^1 = star."""
-    return expm_normal(float(t) * gen.log_star)
+    """star^t = exp(t log star) = P+ + e^{i pi t} P-; unitary, period two,
+    star^1 = star.  In terms of the star, 0.5 ((1 + z) 1 + (1 - z) star)
+    with z = e^{i pi t}."""
+    z = np.exp(1j * np.pi * float(t))
+    return 0.5 * ((1.0 + z) * np.eye(gen.dim) + (1.0 - z) * gen.refinement.star)
 
 
 def evolve(gen: HodgeGenerator, a, t: float) -> np.ndarray:
@@ -154,8 +159,14 @@ def perturbed_star(gen: HodgeGenerator, epsilon: float, sign: int = 1) -> Pertur
 
 
 def perturbed_power(pgen: PerturbedGenerator, t: float) -> np.ndarray:
-    """(*')^t = star^t U^t with U^t = exp(t log U)."""
-    return star_power(pgen.base, t) @ expm_normal(float(t) * pgen.log_u)
+    """(*')^t = star^t U^t with U^t = exp(t log U).
+
+    In closed form U^t = e^{i pi eps t}, times one more factor star^t on
+    the sign -1 branch, so the flow is a phase times star^t or star^{2t}.
+    """
+    t = float(t)
+    power = 1.0 if pgen.sign == 1 else 2.0
+    return np.exp(1j * np.pi * pgen.epsilon * t) * star_power(pgen.base, power * t)
 
 
 def perturbed_evolve(pgen: PerturbedGenerator, a, t: float) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import scipy.linalg
 
 # Frobenius-norm comparison tolerance used when a caller does not override.
 DEFAULT_TOL = 1e-10
@@ -79,11 +78,14 @@ def normality_residual(a) -> float:
 
 
 def expm_normal(a, tol: float = NORMALITY_TOL) -> np.ndarray:
-    """Exponential of a normal matrix via unitary diagonalization.
+    """Exponential of a normal matrix via two Hermitian eigendecompositions.
 
-    The Schur form of a normal matrix is diagonal, so A = U diag(w) U*
-    with U unitary and exp(A) = U diag(exp(w)) U*.  Non-normal input is
-    rejected rather than silently mis-exponentiated.
+    A normal matrix splits as A = H + iK with H = (A + A*)/2 and
+    K = (A - A*)/2i Hermitian and commuting, so exp(A) = exp(H) exp(iK),
+    and each factor is V diag(exp(w)) V* from one `eigh`.  Unitary
+    eigenvectors keep one-parameter groups unitary to machine precision,
+    also on degenerate spectra.  Non-normal input is rejected rather
+    than silently mis-exponentiated.
 
     Parameters
     ----------
@@ -103,9 +105,14 @@ def expm_normal(a, tol: float = NORMALITY_TOL) -> np.ndarray:
         raise ValueError(
             f"matrix is not normal: ||A A* - A* A|| = {res:.3e} exceeds {tol:.1e}"
         )
-    t, z = scipy.linalg.schur(m, output="complex")
-    w = np.exp(np.diag(t))
-    return (z * w) @ z.conj().T
+    ad = m.conj().T
+    return _expm_hermitian(0.5 * (m + ad), 1.0) @ _expm_hermitian(-0.5j * (m - ad), 1j)
+
+
+def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * H) for Hermitian H, from one eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(scale * w)) @ v.conj().T
 
 
 def kron(a, b) -> np.ndarray:

@@ -8,9 +8,12 @@ basic functional is
     F(A) = integral over Sigma of (A omega) = (A omega, eta_Sigma)_L2,
 
 where the Poincare dual eta_Sigma represents integration over Sigma as
-an L2 pairing.  When both omega and eta_Sigma are self-dual the flow
-generated by the star fixes them, so t -> F(star^t A star^-t) is
-constant for every operator A; anti-self-dual input breaks this.
+an L2 pairing.  The flow generated by the star multiplies a self-dual
+form by 1 and an anti-self-dual one by e^{i pi t}.  When omega and
+eta_Sigma lie in the same star eigenspace, or one of them is zero, the
+phases cancel and t -> F(star^t A star^-t) is constant for every
+operator A; a mixed pair breaks this.  The stationarity probes sample
+the exact time derivative of F, not a finite difference.
 
 The homology pairing (1/2 pi i) * integral over Sigma of omega is an
 integer whenever omega is 2 pi i times an integer form; a vanishing
@@ -31,9 +34,8 @@ from .linalg import as_operator
 
 TWO_PI_I = 2j * np.pi
 
-# Finite-difference stencil for the time derivative of F.
+# Flow times at which the time derivative of F is sampled.
 DERIVATIVE_TIMES = (0.0, 0.3, 0.7, 1.5)
-DERIVATIVE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,12 @@ def is_self_dual(v, tol: float = 1e-12) -> bool:
     return bool(np.linalg.norm(STANDARD_STAR @ vec - vec) <= tol)
 
 
+def is_anti_self_dual(v, tol: float = 1e-12) -> bool:
+    """Whether the star negates the coefficient vector."""
+    vec = np.asarray(v, dtype=np.complex128)
+    return bool(np.linalg.norm(STANDARD_STAR @ vec + vec) <= tol)
+
+
 def surface_integral(sigma, omega) -> complex:
     """Integral of a constant 2-form over the surface class.
 
@@ -116,42 +124,35 @@ def state_functional(sigma, omega, a) -> complex:
     return complex(np.vdot(eta, m @ _form_vector(omega)))
 
 
-def _max_derivative(f, times, step) -> float:
-    worst = 0.0
-    for t in times:
-        d = (f(t + step) - f(t - step)) / (2.0 * step)
-        worst = max(worst, abs(d))
-    return float(worst)
+def _commutator(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return g @ m - m @ g
 
 
 def stationarity_derivative(sigma, omega, gen: HodgeGenerator, a,
-                            times=DERIVATIVE_TIMES, step: float = DERIVATIVE_STEP) -> float:
+                            times=DERIVATIVE_TIMES) -> float:
     """Max |d/dt F(star^t A star^-t)| over the sample times.
 
-    Exactly zero (to finite-difference dust) when omega and the dual of
-    sigma are both self-dual, for every A.
+    The derivative is exact: d/dt F(W_t A W_t*) = F(W_t [G, A] W_t*)
+    for W_t = exp(t G), here with G = log star.  It vanishes up to
+    rounding when omega and the dual of sigma lie in the same star
+    eigenspace, for every A.
     """
     if gen.dim != 6:
         raise ValueError("stationarity probe needs a 6-dimensional flow")
-    m = as_operator(a)
-
-    def f(t):
-        return state_functional(sigma, omega, evolve(gen, m, t))
-
-    return _max_derivative(f, times, step)
+    rate = _commutator(gen.log_star, as_operator(a))
+    return max((abs(state_functional(sigma, omega, evolve(gen, rate, t))) for t in times),
+               default=0.0)
 
 
 def perturbed_stationarity(sigma, omega, pgen: PerturbedGenerator, a,
-                           times=DERIVATIVE_TIMES, step: float = DERIVATIVE_STEP) -> float:
-    """Same derivative probe along the perturbed flow (*')^t = star^t U^t."""
+                           times=DERIVATIVE_TIMES) -> float:
+    """Same exact derivative along the perturbed flow (*')^t = star^t U^t,
+    whose generator is G = log star + log U."""
     if pgen.base.dim != 6:
         raise ValueError("stationarity probe needs a 6-dimensional flow")
-    m = as_operator(a)
-
-    def f(t):
-        return state_functional(sigma, omega, perturbed_evolve(pgen, m, t))
-
-    return _max_derivative(f, times, step)
+    rate = _commutator(pgen.base.log_star + pgen.log_u, as_operator(a))
+    return max((abs(state_functional(sigma, omega, perturbed_evolve(pgen, rate, t)))
+                for t in times), default=0.0)
 
 
 def homology_pairing(sigma, omega) -> complex:

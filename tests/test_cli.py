@@ -167,6 +167,35 @@ def test_states_anti_self_dual_form(tmp_path):
     assert results["max_derivative"] > 1e-3
 
 
+@pytest.mark.parametrize("sigma, omega", [
+    # Both forms anti-self-dual: the flow phases cancel.
+    ("1,0,0,0,0,-1", 2j * np.pi * np.array([1.0, 0, 0, 0, 0, -1.0])),
+    # Zero surface class against an anti-self-dual form.
+    ("0,0,0,0,0,0", np.array([0.0, 1.0, 0, 0, 1.0, 0])),
+])
+def test_states_expects_stationarity_in_a_shared_or_zero_eigenspace(tmp_path, sigma, omega):
+    omega_path = tmp_path / "omega.json"
+    linalg.save_vector(omega_path, omega)
+    proc = run_cli("states", "--sigma", sigma, "--omega", str(omega_path), check=True)
+    payload = parse_envelope(proc)
+    assert payload["pass"] is True
+    assert payload["results"]["expected_stationary"] is True
+    assert payload["results"]["stationary"] is True
+
+
+def test_states_stationary_at_large_pairing(tmp_path):
+    # Self-dual data with homology pairing 200: the derivative is zero
+    # up to rounding at this scale too.
+    omega_path = tmp_path / "omega.json"
+    linalg.save_vector(omega_path, 200j * np.pi * np.array([1.0, 0, 0, 0, 0, 1.0]))
+    proc = run_cli("states", "--sigma", "1,0,0,0,0,1", "--omega", str(omega_path),
+                   check=True)
+    results = parse_envelope(proc)["results"]
+    assert results["stationary"] is True
+    assert results["max_derivative"] < 1e-8
+    assert results["max_perturbed_derivative"] < 1e-8
+
+
 def test_constants_report():
     proc = run_cli("constants", check=True)
     results = parse_envelope(proc)["results"]

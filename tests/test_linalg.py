@@ -1,6 +1,8 @@
 """Core matrix layer: adjoint, normalized trace, GNS product, exponential."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +100,14 @@ def test_expm_normal_group_law():
 def test_expm_normal_rejects_non_normal():
     with pytest.raises(ValueError, match="not normal"):
         linalg.expm_normal([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, hodgekit, hodgekit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kron_examples():

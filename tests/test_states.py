@@ -75,8 +75,8 @@ def test_state_functional_rejects_wrong_shape():
 
 def test_stationarity_identity_operator(gen):
     # F(star^t 1 star^-t) is constant whatever sigma and omega are; the
-    # residual is pure rounding dust amplified by the 1e-5 step, well
-    # under the 1e-8 verdict threshold.
+    # exact derivative F(W_t [log star, 1] W_t*) is pure rounding dust,
+    # well under the 1e-8 verdict threshold.
     val = st.stationarity_derivative((1, 2, 0, -1, 0, 3), E[1] + 2j * E[4], gen, np.eye(6))
     assert val < 1e-9
 
