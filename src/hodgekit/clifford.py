@@ -1,38 +1,48 @@
-"""Matrix representations of Clifford algebras and their doubling tower.
+"""Clifford algebras as signed Pauli strings, and their doubling tower.
 
 A quadratic form of signature (r, s) on an (r+s)-dimensional real space
 yields generators g_1 .. g_m, m = r + s, subject to
 
     g_i g_j + g_j g_i = 2 eps_i delta_ij 1,   eps_i = +1 (i <= r), -1 (i > r).
 
-The generators are realized by an alternating Pauli tensor chain inside
-m_{2^ceil(m/2)}(C).  After complexification only m matters: the span of
-the 2^m generator monomials has dimension exactly 2^m, and adding two
-generators multiplies that span dimension by four, which is the matrix
-form of the period-two behaviour of complex Clifford algebras.  Climbing
-the tower is A -> kron(I_2, A) = diag(A, A); this duplication keeps the
-normalized trace on the nose.
+The generators are the alternating Pauli tensor chain inside
+m_{2^ceil(m/2)}(C), each stored as a signed Pauli string on n = ceil(m/2)
+qubits (Aaronson and Gottesman, PRA 70, 052328, 2004): bit rows (x | z),
+whose pair (x_q, z_q) puts 1, X, Z or Y on qubit q, and a phase 1 or i.
+Hermitian Pauli strings square to 1 and anticommute exactly when their
+symplectic product x_i.z_j + z_i.x_j is odd.  Distinct strings are
+orthogonal under tau(A B*), so the 2^m generator monomials span 2^rank
+dimensions, rank taken over GF(2) of the rows: exactly 2^m after
+complexification, and four times that two generators up, the matrix form
+of the period-two behaviour of complex Clifford algebras.  Dense matrices
+are built only on request.  Climbing the tower is A -> kron(I_2, A) =
+diag(A, A); this duplication keeps the normalized trace on the nose.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_operator, frobenius, kron
+from .curvature import STANDARD_STAR
+from .linalg import as_operator, kron
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+# The Pauli factor 1, X, Z or Y selected by the bits (x_q, z_q) of one qubit.
+_PAULI = {
+    (0, 0): np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128),
+    (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    (0, 1): np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+    (1, 1): np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
+}
 
-# Maximum generator count accepted by verify_periodicity; the level m+2
-# check needs a rank computation over 2^(m+2) monomials.
-MAX_PERIODICITY_GENERATORS = 10
-
-# span_dimension stacks all 2^m monomials and their Gram matrix; past the
-# periodicity ceiling of m + 2 = 12 that is gigabytes of dense storage.
-MAX_SPAN_GENERATORS = MAX_PERIODICITY_GENERATORS + 2
+# Largest generator count accepted by span_dimension.  The bit-row checks
+# cost about m^2 integer operations, so the bound only keeps input sane;
+# verify_periodicity also spans the tower two generators up.
+MAX_SPAN_GENERATORS = 128
+MAX_PERIODICITY_GENERATORS = MAX_SPAN_GENERATORS - 2
 
 
 @dataclass(frozen=True)
@@ -55,57 +65,79 @@ class QuadraticSignature:
 
 @dataclass(frozen=True)
 class CliffordTower:
-    """Concrete generators at tower level n, acting on C^(2^n)."""
+    """Generators at tower level n as Pauli strings on n qubits, acting on C^(2^n).
+
+    Generator k is phases[k] times the Pauli string whose qubit q carries
+    X when bit q of x[k] is set, Z when bit q of z[k] is set, and Y when
+    both are.  Each phase is 1 or 1j.  Qubit 0 is the leftmost Kronecker
+    factor.
+    """
 
     signature: QuadraticSignature
-    generators: tuple
     level: int
+    x: tuple
+    z: tuple
+    phases: tuple
 
     @property
     def dim(self) -> int:
         return 2 ** self.level
 
+    @cached_property
+    def generators(self) -> tuple:
+        """The generators as dense 2^n x 2^n matrices, built on first access."""
+        gens = []
+        for x, z, phase in zip(self.x, self.z, self.phases):
+            g = np.array([[phase]], dtype=np.complex128)
+            for q in range(self.level):
+                g = np.kron(g, _PAULI[(x >> q) & 1, (z >> q) & 1])
+            gens.append(g)
+        return tuple(gens)
+
 
 def build_generators(signature: QuadraticSignature) -> CliffordTower:
-    """Generators of the (r, s) Clifford algebra as 2^ceil(m/2) matrices.
+    """Generators of the (r, s) Clifford algebra on 2^ceil(m/2) dimensions.
 
     The chain puts X or Y at slot ceil(k/2) behind a prefix of Z factors:
 
         g_{2k-1} = Z^(k-1) (x) X (x) 1 ...,   g_{2k} = Z^(k-1) (x) Y (x) 1 ...
 
-    and the s generators of negative square are the same matrices times i.
-    The empty signature (0, 0) is the scalar algebra: no generators,
-    dimension one.
+    with Y = i X Z, and the s generators of negative square are the same
+    strings with phase i.  The empty signature (0, 0) is the scalar
+    algebra: no generators, dimension one.
     """
-    m = signature.m
-    level = (m + 1) // 2
-    gens = []
-    for k in range(1, m + 1):
-        slot = (k + 1) // 2  # 1-based position of the X/Y factor
-        factors = [PAULI_Z] * (slot - 1)
-        factors.append(PAULI_X if k % 2 == 1 else PAULI_Y)
-        factors.extend([np.eye(2, dtype=np.complex128)] * (level - slot))
-        g = factors[0]
-        for f in factors[1:]:
-            g = np.kron(g, f)
-        if k > signature.r:
-            g = 1j * g
-        gens.append(g)
-    return CliffordTower(signature=signature, generators=tuple(gens), level=level)
+    x, z, phases = [], [], []
+    for k in range(1, signature.m + 1):
+        slot = 1 << ((k - 1) // 2)  # bit of the X/Y factor
+        x.append(slot)
+        z.append(slot - 1 if k % 2 == 1 else 2 * slot - 1)
+        phases.append(1j if k > signature.r else 1)
+    return CliffordTower(signature=signature, level=(signature.m + 1) // 2,
+                         x=tuple(x), z=tuple(z), phases=tuple(phases))
+
+
+def _anticommute(xa: int, za: int, xb: int, zb: int) -> bool:
+    """Odd symplectic product: the two Pauli strings anticommute."""
+    return bool(((xa & zb) ^ (za & xb)).bit_count() & 1)
 
 
 def relation_residual(tower: CliffordTower) -> float:
-    """Worst Frobenius defect of g_i g_j + g_j g_i = 2 eps_i delta_ij."""
-    m = tower.signature.m
-    eye = np.eye(tower.dim, dtype=np.complex128)
+    """Worst Frobenius defect of g_i g_j + g_j g_i = 2 eps_i delta_ij.
+
+    Read off the Pauli strings: g_i^2 is phase_i^2 times the identity, a
+    defect of 2 |phase_i^2 - eps_i| sqrt(dim); an anticommuting pair
+    leaves nothing, and a commuting pair leaves 2 g_i g_j, twice a
+    unitary, of norm 2 sqrt(dim).  These are the numbers the dense
+    products give.
+    """
+    root = math.sqrt(tower.dim)
+    gens = list(zip(tower.x, tower.z, tower.phases))
     worst = 0.0
-    for i in range(m):
-        gi = tower.generators[i]
-        eps = 1.0 if i < tower.signature.r else -1.0
-        for j in range(i, m):
-            gj = tower.generators[j]
-            target = 2.0 * eps * eye if i == j else 0.0
-            worst = max(worst, frobenius(gi @ gj + gj @ gi - target))
+    for i, (xi, zi, phase) in enumerate(gens):
+        eps = 1 if i < tower.signature.r else -1
+        worst = max(worst, 2.0 * abs(phase * phase - eps) * root)
+        if any(not _anticommute(xi, zi, xj, zj) for xj, zj, _ in gens[i + 1:]):
+            worst = max(worst, 2.0 * root)
     return worst
 
 
@@ -124,30 +156,31 @@ def embed_up(a, levels: int = 1) -> np.ndarray:
     return out
 
 
-def _monomials(tower: CliffordTower) -> np.ndarray:
-    """All 2^m ordered products of generators, stacked as row vectors."""
-    d = tower.dim
-    mons = [np.eye(d, dtype=np.complex128)]
-    for g in tower.generators:
-        mons.extend([mon @ g for mon in mons])
-    return np.array([mon.ravel() for mon in mons])
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of bit rows given as nonnegative integers."""
+    basis = []  # kept reduced: each entry has a leading bit no other entry has
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(basis)
 
 
 def span_dimension(tower: CliffordTower) -> int:
     """Linear-span dimension of the generator monomials.
 
-    Computed as the rank of the Gram matrix of the 2^m monomials under
-    the GNS scalar product; for a faithfully represented level this is
-    exactly 2^m.
+    A monomial is a phase times the Pauli string of the GF(2) sum of its
+    factors' bit rows, and distinct strings are orthogonal under the GNS
+    scalar product, so the span has dimension 2^rank of the rows; for a
+    faithfully represented level this is exactly 2^m.
     """
     m = tower.signature.m
     if m > MAX_SPAN_GENERATORS:
         raise ValueError(
             f"generator count {m} exceeds the span bound {MAX_SPAN_GENERATORS}"
         )
-    v = _monomials(tower)
-    gram = (v @ v.conj().T) / tower.dim
-    return int(np.linalg.matrix_rank(gram, hermitian=True))
+    return 2 ** gf2_rank(x | z << tower.level for x, z in zip(tower.x, tower.z))
 
 
 def verify_periodicity(signature: QuadraticSignature) -> dict:
@@ -186,24 +219,16 @@ def verify_periodicity(signature: QuadraticSignature) -> dict:
 # Basis order (e12, e13, e14, e23, e24, e34); orientation e1^e2^e3^e4.
 # ---------------------------------------------------------------------------
 
-# Pairing of basis 2-forms: <e_ij, e_kl> is the coefficient of e1234 in
-# e_ij ^ e_kl.  Nonzero only on complementary index pairs, with the sign
-# of the permutation (i, j, k, l).
-WEDGE_PAIRING = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    ]
-)
-
 
 def pairing_matrix() -> np.ndarray:
-    """The symmetric wedge-pairing matrix; squares to the identity."""
-    return WEDGE_PAIRING.copy()
+    """The symmetric wedge-pairing matrix; squares to the identity.
+
+    <e_ij, e_kl> is the coefficient of e1234 in e_ij ^ e_kl: nonzero only
+    on complementary index pairs, with the sign of the permutation
+    (i, j, k, l).  On an orthonormal basis a ^ b = (a, star b) vol, so
+    this is the matrix of the Hodge star.
+    """
+    return STANDARD_STAR.copy()
 
 
 def indefinite_pairing_form(coeffs_a, coeffs_b):
@@ -220,7 +245,7 @@ def indefinite_pairing_form(coeffs_a, coeffs_b):
         raise ValueError(
             f"expected 6-coefficient vectors, got shapes {a.shape} and {b.shape}"
         )
-    value = a @ WEDGE_PAIRING @ b
+    value = a @ STANDARD_STAR @ b
     if np.iscomplexobj(value):
         z = complex(value)
         return z.real if z.imag == 0.0 else z

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import WEDGE_PAIRING
 from .curvature import STANDARD_STAR
 from .dynamics import HodgeGenerator, PerturbedGenerator, evolve, perturbed_evolve
 from .linalg import as_operator
@@ -85,15 +84,15 @@ def _form_vector(omega) -> np.ndarray:
 
 
 def is_self_dual(v, tol: float = 1e-12) -> bool:
-    """Whether the star fixes the coefficient vector."""
+    """Whether the star fixes the coefficient vector: ||star v - v|| <= tol ||v||."""
     vec = np.asarray(v, dtype=np.complex128)
-    return bool(np.linalg.norm(STANDARD_STAR @ vec - vec) <= tol)
+    return bool(np.linalg.norm(STANDARD_STAR @ vec - vec) <= tol * np.linalg.norm(vec))
 
 
 def is_anti_self_dual(v, tol: float = 1e-12) -> bool:
-    """Whether the star negates the coefficient vector."""
+    """Whether the star negates the coefficient vector: ||star v + v|| <= tol ||v||."""
     vec = np.asarray(v, dtype=np.complex128)
-    return bool(np.linalg.norm(STANDARD_STAR @ vec + vec) <= tol)
+    return bool(np.linalg.norm(STANDARD_STAR @ vec + vec) <= tol * np.linalg.norm(vec))
 
 
 def surface_integral(sigma, omega) -> complex:
@@ -109,10 +108,10 @@ def poincare_dual(sigma) -> np.ndarray:
     """The 2-form eta with wedge(omega, eta) = integral_Sigma omega for all omega.
 
     On the coordinate basis this sends a 2-torus to its complementary
-    basis form with the orientation sign, i.e. the wedge-pairing matrix
-    applied to the class vector.  Entries are exact integers.
+    basis form with the orientation sign, i.e. the star applied to the
+    class vector.  Entries are exact integers.
     """
-    return WEDGE_PAIRING @ _sigma_vector(sigma)
+    return STANDARD_STAR @ _sigma_vector(sigma)
 
 
 def state_functional(sigma, omega, a) -> complex:

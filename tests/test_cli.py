@@ -73,6 +73,16 @@ def test_clifford_odd_signature_skips_periodicity():
     assert "periodic" not in results
 
 
+def test_clifford_answers_at_sixty_generators():
+    proc = run_cli("clifford", "30,30", check=True)
+    payload = parse_envelope(proc)
+    assert payload["pass"] is True
+    results = payload["results"]
+    assert results["span_dim"] == 2**60
+    assert results["periodicity_factor"] == 4
+    assert results["relation_residual"] == 0.0
+
+
 def test_solve_einstein_round_trip(tmp_path):
     rng = np.random.default_rng(80)
     b_path = tmp_path / "b.json"
@@ -194,6 +204,21 @@ def test_states_stationary_at_large_pairing(tmp_path):
     assert results["stationary"] is True
     assert results["max_derivative"] < 1e-8
     assert results["max_perturbed_derivative"] < 1e-8
+
+
+def test_states_verdict_does_not_depend_on_units(tmp_path):
+    # Self-dual dual against an anti-self-dual omega at 1e-10: the
+    # derivative is linear in omega, 1.5e-9 here, and must not pass an
+    # absolute gate as stationary.
+    omega_path = tmp_path / "omega.json"
+    linalg.save_vector(omega_path, 1e-10 * np.array([1.0, 1.0, 0, 0, 1.0, -1.0]))
+    proc = run_cli("states", "--sigma", "1,0,0,0,0,1", "--omega", str(omega_path),
+                   check=True)
+    payload = parse_envelope(proc)
+    assert payload["pass"] is True
+    assert payload["results"]["stationary"] is False
+    assert payload["results"]["expected_stationary"] is False
+    assert payload["tolerances"]["stationarity_scale"] == pytest.approx(np.sqrt(2) * 2e-10)
 
 
 def test_constants_report():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgekit import clifford, linalg
 
@@ -52,6 +54,20 @@ def test_relations_survive_at_ten_generators():
     tower = clifford.build_generators(clifford.QuadraticSignature(5, 5))
     assert tower.dim == 32
     assert clifford.relation_residual(tower) < 1e-12
+
+
+signatures = st.integers(0, clifford.MAX_SPAN_GENERATORS).flatmap(
+    lambda m: st.integers(0, m).map(lambda r: clifford.QuadraticSignature(r, m - r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signatures)
+def test_any_signature_spans_two_to_the_m(sig):
+    tower = clifford.build_generators(sig)
+    assert clifford.span_dimension(tower) == 2**sig.m
+    assert clifford.relation_residual(tower) == 0.0
+    if sig.m % 2 == 0 and sig.m <= clifford.MAX_PERIODICITY_GENERATORS:
+        assert clifford.verify_periodicity(sig)["factor"] == 4
 
 
 def test_embed_up_examples():

@@ -53,6 +53,17 @@ def test_poincare_dual_represents_integration():
         assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+def test_eigenspace_gates_are_relative_to_the_norm(scale):
+    # Rows of BASIS_CHANGE: an orthonormal self-dual triple, then an
+    # anti-self-dual one, with irrational entries.
+    for row, sd in zip(cv.BASIS_CHANGE, [True] * 3 + [False] * 3):
+        v = scale * row
+        assert st.is_self_dual(v) is sd
+        assert st.is_anti_self_dual(v) is not sd
+    assert st.is_self_dual(np.zeros(6)) and st.is_anti_self_dual(np.zeros(6))
+
+
 def test_surface_integral_is_bilinear_dot():
     assert st.surface_integral((2, 0, 0, 0, 0, 1), E[0]) == 2.0
     assert st.surface_integral((2, 0, 0, 0, 0, 1), 1j * E[5]) == 1j
