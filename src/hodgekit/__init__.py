@@ -14,7 +14,6 @@ from .linalg import (
     as_operator,
     expm_normal,
     frobenius,
-    gns_inner,
     kron,
     load_matrix,
     load_vector,
@@ -43,7 +42,6 @@ from .clifford import (
 from .curvature import (
     BASIS_CHANGE,
     CurvatureOperator,
-    HodgeFrame,
     ManifoldModel,
     SPLIT_STAR,
     STANDARD_STAR,
@@ -52,7 +50,6 @@ from .curvature import (
     decompose_curvature,
     exemplar,
     ric0_norm,
-    standard_star,
     star_commutator_norm,
     tau_operator,
 )

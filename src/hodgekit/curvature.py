@@ -26,8 +26,6 @@ import numpy as np
 
 from .linalg import frobenius
 
-BASIS_LABELS = ("e12", "e13", "e14", "e23", "e24", "e34")
-
 # Star on the coordinate basis: *e12 = e34, *e13 = -e24, *e14 = e23,
 # and symmetrically back.  Column j holds the coefficients of *e_j.
 STANDARD_STAR = np.array(
@@ -61,26 +59,6 @@ SPLIT_STAR = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 _BLOCK_TOL = 1e-12
 _SYMMETRY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class HodgeFrame:
-    """Star matrix plus the orthogonal change to its eigenbasis."""
-
-    star: np.ndarray
-    basis_change: np.ndarray
-
-    @property
-    def star_split(self) -> np.ndarray:
-        return SPLIT_STAR.copy()
-
-
-def standard_star() -> HodgeFrame:
-    """The flat-frame Hodge star and its self-dual eigenbasis.
-
-    basis_change @ star @ basis_change.T = diag(1, 1, 1, -1, -1, -1).
-    """
-    return HodgeFrame(star=STANDARD_STAR.copy(), basis_change=BASIS_CHANGE.copy())
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""GNS-style representation theory over finite multi-matrix algebras.
+"""GNS representations over finite multi-matrix algebras, in closed form.
 
 The algebra is a direct sum of full matrix blocks m_{k_i}(C) with
 positive trace weights lambda_i summing to one:
@@ -6,28 +6,31 @@ positive trace weights lambda_i summing to one:
     tau(x_1 + ... + x_n) = sum_i lambda_i Trace(x_i) / k_i.
 
 A positive functional phi given by density blocks D_i >= 0 acts as
-phi(x) = sum_i Trace(D_i x_i).  Its null ideal
+phi(x) = sum_i Trace(D_i x_i).  Every left ideal of m_k(C) is m_k Q for
+a projection Q (Davidson, C*-Algebras by Example, AMS 1996); the null
+ideal I_phi = { A : phi(A* A) = 0 } is the sum of the m_{k_i} (1 - P_i),
+P_i the support projection of D_i.  Since m_k Q m_k = m_k for every
+Q != 0, the obstruction space J = span{ A B : A, B* in I_phi } is the
+sum of the blocks where D_i is not faithful.  Left multiplication on
+its complement, the faithful blocks, is the induced representation rho
+(kernel J), and the coupling weight
 
-    I_phi = { A : phi(A* A) = 0 }
+    gamma = sum_i lambda_i rank_i(J-perp) / k_i^2  in [0, 1]
 
-is a left ideal, computed here as the kernel of the Gram matrix
-phi(E_a* E_b) over the matrix-unit basis.  The two-sided obstruction
-space J = span{ A B : A in I_phi, B* in I_phi } is invariant under left
-multiplication, so left multiplication restricts to its GNS-orthogonal
-complement; that restriction is the induced representation rho.  The
-coupling weight of the representation is
+is the total weight of the faithful blocks.  gamma = 1 exactly for
+faithful phi; in the II_1 setting the survivor is a proper corner and
+the bound is strict, a boundary effect this finite model keeps visible.
 
-    gamma = sum_i lambda_i rank_i(J-perp) / k_i^2  in [0, 1],
-
-the tau-size of the part of the algebra that survives.  gamma = 1 is
-attained exactly by faithful phi; in the infinite (II_1) setting the
-survivor is a proper corner and the bound is strict, a boundary effect
-this finite model keeps visible rather than excludes.
+So one eigh per density block gives everything.  An eigenvalue counts
+as zero when it is at most tol * max(1, largest over all blocks): the
+cutoff on the Gram matrix phi(E_a* E_b) = I_k (x) D_i^T that the
+brute-force reference in tests/gns_oracle.py diagonalizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,12 +92,6 @@ class FiniteAlgebra:
     def identity(self) -> tuple:
         return tuple(np.eye(k, dtype=np.complex128) for k in self.dims)
 
-    def add(self, x, y) -> tuple:
-        return tuple(a + b for a, b in zip(x, y))
-
-    def scale(self, c, x) -> tuple:
-        return tuple(c * a for a in x)
-
     def mul(self, x, y) -> tuple:
         return tuple(a @ b for a, b in zip(x, y))
 
@@ -109,46 +106,11 @@ class FiniteAlgebra:
         """GNS scalar product tau(x y*)."""
         return self.trace(self.mul(x, self.adj(y)))
 
-    def basis(self) -> list:
-        """Matrix units, summand-major then row-major; length total_dim."""
-        out = []
-        for idx, k in enumerate(self.dims):
-            for a in range(k):
-                for b in range(k):
-                    blocks = list(self.zero())
-                    unit = np.zeros((k, k), dtype=np.complex128)
-                    unit[a, b] = 1.0
-                    blocks[idx] = unit
-                    out.append(tuple(blocks))
-        return out
-
     def coords(self, x) -> np.ndarray:
         """Isometry onto C^total_dim: tau(x y*) = <coords x, coords y>."""
         parts = [np.sqrt(w / k) * b.ravel()
                  for b, (k, w) in zip(x, self.summands)]
         return np.concatenate(parts)
-
-    def from_coords(self, v) -> tuple:
-        v = np.asarray(v, dtype=np.complex128)
-        blocks = []
-        pos = 0
-        for k, w in self.summands:
-            n = k * k
-            blocks.append((v[pos:pos + n] / np.sqrt(w / k)).reshape(k, k))
-            pos += n
-        return tuple(blocks)
-
-    def left_mult_matrix(self, x) -> np.ndarray:
-        """Left multiplication by x in GNS coordinates (block Kronecker)."""
-        blocks = [np.kron(b, np.eye(k)) for b, k in zip(x, self.dims)]
-        d = self.total_dim
-        out = np.zeros((d, d), dtype=np.complex128)
-        pos = 0
-        for blk in blocks:
-            n = blk.shape[0]
-            out[pos:pos + n, pos:pos + n] = blk
-            pos += n
-        return out
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> tuple:
         return tuple(
@@ -171,54 +133,50 @@ class AlgebraState:
 def make_state(algebra: FiniteAlgebra, densities, tol: float = _PSD_TOL) -> AlgebraState:
     """Validate density blocks and normalize the total mass to one.
 
+    The gates are relative to the largest block norm s, so the verdict
+    does not depend on the units of the densities.
+
     Raises
     ------
     ValueError
-        If a block is not Hermitian positive semidefinite, or the total
-        trace vanishes.
+        If a block is not Hermitian positive semidefinite within tol * s,
+        or the total trace is at most tol * s (in particular when s = 0).
     """
     blocks = algebra.element(densities)
+    scale = max(float(np.linalg.norm(d)) for d in blocks)
     for d in blocks:
-        if np.linalg.norm(d - d.conj().T) > tol:
+        if np.linalg.norm(d - d.conj().T) > tol * scale:
             raise ValueError("density blocks must be Hermitian")
-        if len(d) and float(np.linalg.eigvalsh(d).min()) < -tol:
+        if float(np.linalg.eigvalsh(d).min()) < -tol * scale:
             raise ValueError("density blocks must be positive semidefinite")
     total = sum(float(np.trace(d).real) for d in blocks)
-    if total <= tol:
+    if scale == 0.0 or total <= tol * scale:
         raise ValueError("state must have positive total mass")
     return AlgebraState(algebra=algebra, densities=tuple(d / total for d in blocks))
+
+
+def _kernels(state: AlgebraState, tol: float) -> list:
+    """Orthonormal kernel vectors of each density block, as columns."""
+    spectra = [np.linalg.eigh(d) for d in state.densities]
+    cutoff = tol * max(1.0, max(float(vals[-1]) for vals, _ in spectra))
+    return [vecs[:, vals <= cutoff] for vals, vecs in spectra]
 
 
 def gns_null_ideal(state: AlgebraState, tol: float = _RANK_TOL) -> list:
     """Orthonormal (GNS) basis of the left ideal { A : phi(A* A) = 0 }.
 
-    Found as the kernel of the positive Gram matrix phi(E_a* E_b) over
-    the matrix-unit basis.
+    Block i contributes sqrt(k_i / lambda_i) e_a v* for each row a and
+    each kernel vector v of D_i: a basis of m_{k_i} (1 - P_i).
     """
     alg = state.algebra
-    basis = alg.basis()
-    d = alg.total_dim
-    gram = np.empty((d, d), dtype=np.complex128)
-    for a, ea in enumerate(basis):
-        ea_adj = alg.adj(ea)
-        for b, eb in enumerate(basis):
-            gram[a, b] = state.phi(alg.mul(ea_adj, eb))
-    vals, vecs = np.linalg.eigh(gram)
-    cutoff = tol * max(1.0, float(vals[-1])) if len(vals) else tol
-    kernel = vecs[:, vals <= cutoff]
-    if kernel.shape[1] == 0:
-        return []
-    # Kernel vectors are coefficient vectors; orthonormalize in GNS coords.
-    elements = []
-    for col in kernel.T:
-        x = alg.zero()
-        for c, e in zip(col, basis):
-            if c != 0:
-                x = alg.add(x, alg.scale(c, e))
-        elements.append(x)
-    coords = np.column_stack([alg.coords(x) for x in elements])
-    q, _ = np.linalg.qr(coords)
-    return [alg.from_coords(q[:, j]) for j in range(q.shape[1])]
+    out = []
+    for idx, ((k, w), kernel) in enumerate(zip(alg.summands, _kernels(state, tol))):
+        for v in kernel.T:
+            for a in range(k):
+                blocks = alg.zero()
+                blocks[idx][a] = np.sqrt(k / w) * v.conj()
+                out.append(blocks)
+    return out
 
 
 def left_ideal_residual(state: AlgebraState, ideal, rng: np.random.Generator,
@@ -236,90 +194,65 @@ def left_ideal_residual(state: AlgebraState, ideal, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class GnsRepresentation:
-    """Induced representation on the complement of J = I_phi . I_phi*."""
+    """Induced representation on the complement of J = I_phi . I_phi*.
+
+    J-perp is the sum of the faithful blocks, so per_summand_ranks is
+    k_i^2 on a faithful block and 0 elsewhere.
+    """
 
     state: AlgebraState
-    ideal: tuple
+    tol: float
     ideal_dim: int
     j_dim: int
-    perp_coords: np.ndarray
     per_summand_ranks: tuple
     gamma: float
     rho_kernel_dim: int
     faithful: bool
 
+    @cached_property
+    def ideal(self) -> tuple:
+        """GNS basis of the null ideal, built on first access."""
+        return tuple(gns_null_ideal(self.state, tol=self.tol))
+
     @property
     def perp_dim(self) -> int:
-        return self.perp_coords.shape[1]
+        return sum(self.per_summand_ranks)
 
     def represent(self, x) -> np.ndarray:
-        """rho(x): left multiplication compressed to J-perp."""
+        """rho(x): left multiplication kron(x_i, 1) on the faithful blocks."""
         alg = self.state.algebra
-        lx = alg.left_mult_matrix(alg.element(x))
-        q = self.perp_coords
-        return q.conj().T @ lx @ q
+        out = np.zeros((self.perp_dim, self.perp_dim), dtype=np.complex128)
+        pos = 0
+        for b, k, r in zip(alg.element(x), alg.dims, self.per_summand_ranks):
+            if r:
+                out[pos:pos + r, pos:pos + r] = np.kron(b, np.eye(k))
+                pos += r
+        return out
 
     def projector(self) -> np.ndarray:
         """Orthogonal projection onto J-perp in GNS coordinates."""
-        q = self.perp_coords
-        return q @ q.conj().T
+        alg = self.state.algebra
+        return np.diag(np.repeat([float(r > 0) for r in self.per_summand_ranks],
+                                 [k * k for k in alg.dims]))
 
 
 def gns_representation(state: AlgebraState, tol: float = _RANK_TOL) -> GnsRepresentation:
     """Build the induced representation and its coupling weight gamma.
 
-    J is spanned by products A B with A in the null ideal and B* in the
-    null ideal; it is a left submodule, so its orthogonal complement
-    carries rho(x) = P L_x P.  gamma sums lambda_i rank_i / k_i^2 over
-    the per-summand ranks of J-perp.
+    A block survives in J-perp exactly when its density is faithful;
+    gamma sums lambda_i rank_i / k_i^2 over the per-summand ranks.
     """
     alg = state.algebra
-    ideal = gns_null_ideal(state, tol=tol)
-    d = alg.total_dim
-
-    if ideal:
-        prods = []
-        for a in ideal:
-            for b in ideal:
-                prods.append(alg.coords(alg.mul(a, alg.adj(b))))
-        pmat = np.column_stack(prods)
-        u, s, _ = np.linalg.svd(pmat, full_matrices=True)
-        j_dim = int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
-        perp = u[:, j_dim:]
-    else:
-        j_dim = 0
-        perp = np.eye(d, dtype=np.complex128)
-
-    # J splits along the center, so J-perp does too; count each block.
-    ranks = []
-    pos = 0
-    for k, _ in alg.summands:
-        n = k * k
-        block = perp[pos:pos + n, :]
-        ranks.append(int(np.linalg.matrix_rank(block, tol=1e-8)) if block.size else 0)
-        pos += n
-    gamma = sum(w * r / (k * k) for (k, w), r in zip(alg.summands, ranks))
-
-    # Kernel of rho over the matrix-unit basis.
-    perp_dim = perp.shape[1]
-    if perp_dim:
-        rows = []
-        for e in alg.basis():
-            lx = alg.left_mult_matrix(e)
-            rows.append((perp.conj().T @ lx @ perp).ravel())
-        rho_mat = np.array(rows)
-        rho_kernel = d - int(np.linalg.matrix_rank(rho_mat, tol=1e-8))
-    else:
-        rho_kernel = d
-
+    nullity = [kernel.shape[1] for kernel in _kernels(state, tol)]
+    ranks = tuple(0 if n else k * k for k, n in zip(alg.dims, nullity))
+    dead = alg.total_dim - sum(ranks)
     return GnsRepresentation(
         state=state,
-        ideal=tuple(ideal),
-        ideal_dim=len(ideal),
-        j_dim=j_dim,
-        perp_coords=perp,
-        per_summand_ranks=tuple(ranks),
-        gamma=float(gamma),
-        rho_kernel_dim=rho_kernel,
-        faithful=bool(rho_kernel == 0),
+        tol=tol,
+        ideal_dim=sum(k * n for k, n in zip(alg.dims, nullity)),
+        j_dim=dead,
+        per_summand_ranks=ranks,
+        gamma=float(sum(w * r / (k * k) for (k, w), r in zip(alg.summands, ranks))),
+        rho_kernel_dim=dead,
+        faithful=dead == 0,
     )

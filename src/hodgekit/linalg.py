@@ -51,15 +51,6 @@ def normalized_trace(a) -> complex:
     return complex(np.trace(m)) / m.shape[0]
 
 
-def gns_inner(a, b) -> complex:
-    """Scalar product (A, B) = tau(A B*).
-
-    Positive definite: (A, A) = tau(A A*) > 0 for A != 0, and the
-    identity has unit length.
-    """
-    return normalized_trace(as_operator(a) @ adjoint(b))
-
-
 def frobenius(a) -> float:
     """Frobenius norm, the default residual metric."""
     return float(np.linalg.norm(np.asarray(a)))

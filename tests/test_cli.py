@@ -10,6 +10,8 @@ import pytest
 from hodgekit import curvature as cv
 from hodgekit import linalg
 
+from gns_oracle import density_block
+
 ENVELOPE_KEYS = ["command", "inputs", "results", "tolerances", "pass"]
 
 
@@ -139,6 +141,41 @@ def test_gns_corner_state(tmp_path):
     assert results["ideal_dim"] == 2
     assert results["j_dim"] == 4
     assert results["faithful"] is False
+
+
+def _write_state(path, densities):
+    path.write_text(json.dumps({"densities": [linalg.matrix_to_dict(d) for d in densities]}))
+
+
+def test_gns_verdict_does_not_depend_on_units(tmp_path):
+    # An absolute Hermitian gate rejected this state at 1e6 (rounding in
+    # D - D* grows with D), and an absolute mass gate at 1e-13, although
+    # the state is normalized to mass one either way.
+    rng = np.random.default_rng(7)
+    densities = [density_block(rng, 6, 6), density_block(rng, 4, 2)]
+    seen = []
+    for scale in (1e-13, 1.0, 1e6):
+        path = tmp_path / f"state_{scale}.json"
+        _write_state(path, [scale * d for d in densities])
+        proc = run_cli("gns", "--algebra", "6:0.5,4:0.5", "--state", str(path))
+        assert proc.returncode == 0, proc.stderr
+        payload = parse_envelope(proc)
+        seen.append((payload["pass"], payload["results"]["gamma"],
+                     payload["results"]["ideal_dim"]))
+    assert seen == [(True, 0.5, 8)] * 3
+
+
+def test_gns_answers_on_a_rank_deficient_32_block(tmp_path):
+    path = tmp_path / "state.json"
+    rng = np.random.default_rng(11)
+    _write_state(path, [density_block(rng, 32, 31), density_block(rng, 16, 16)])
+    proc = run_cli("gns", "--algebra", "32:0.5,16:0.5", "--state", str(path), check=True)
+    payload = parse_envelope(proc)
+    assert payload["pass"] is True
+    results = payload["results"]
+    assert results["gamma"] == 0.5
+    assert results["ideal_dim"] == 32
+    assert results["j_dim"] == 1024
 
 
 def test_dynamics_fixed_point():

@@ -96,9 +96,6 @@ def test_basis_change_is_orthogonal_and_diagonalizes_star():
     b = cv.BASIS_CHANGE
     np.testing.assert_allclose(b @ b.T, np.eye(6), atol=1e-15)
     np.testing.assert_allclose(b @ cv.STANDARD_STAR @ b.T, cv.SPLIT_STAR, atol=1e-15)
-    frame = cv.standard_star()
-    np.testing.assert_array_equal(frame.star, cv.STANDARD_STAR)
-    np.testing.assert_array_equal(frame.star_split, cv.SPLIT_STAR)
 
 
 def test_kaehler_direction_is_first_self_dual_row():

@@ -4,7 +4,9 @@ The coupling weight gamma is cross-checked by a from-scratch oracle:
 the null ideal is derived analytically from the density kernels, the
 obstruction space J is spanned by hand (all pairwise products, plain
 Gram-Schmidt), and the per-summand ranks are read off projector block
-traces.  Nothing of the library's SVD pipeline is reused.
+traces, reusing none of the library's GNS functions.  The
+brute-force Gram/SVD pipeline in gns_oracle.py is compared field by
+field in test_gns_oracle.py.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import scipy.linalg
 
 from hodgekit import gns
 
+import gns_oracle
 from gamma_oracle import brute_force_gamma, kernel_ideal, random_rank_state
 
 
@@ -63,13 +66,13 @@ def test_coords_is_a_gns_isometry():
         lhs = alg.inner(x, y)
         rhs = np.vdot(alg.coords(y), alg.coords(x))
         assert abs(lhs - rhs) < 1e-12
-        back = alg.from_coords(alg.coords(x))
+        back = gns_oracle.from_coords(alg, alg.coords(x))
         assert all(np.allclose(a, b) for a, b in zip(back, x))
 
 
 def test_basis_has_total_dim_elements():
     alg = _mixed()
-    basis = alg.basis()
+    basis = gns_oracle.basis(alg)
     assert len(basis) == alg.total_dim == 4 + 9 + 1
 
 
@@ -78,7 +81,7 @@ def test_left_mult_matrix_reproduces_multiplication():
     rng = np.random.default_rng(62)
     x = alg.random_element(rng)
     y = alg.random_element(rng)
-    lhs = alg.left_mult_matrix(x) @ alg.coords(y)
+    lhs = gns_oracle.left_mult_matrix(alg, x) @ alg.coords(y)
     rhs = alg.coords(alg.mul(x, y))
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
@@ -93,6 +96,19 @@ def test_make_state_normalizes_and_validates():
         gns.make_state(alg, [np.diag([1.0, -0.5])])
     with pytest.raises(ValueError, match="positive total mass"):
         gns.make_state(alg, [np.zeros((2, 2))])
+
+
+def test_make_state_does_not_depend_on_units():
+    # The gates are relative to the largest block norm: a valid state
+    # passes at every scale and gives the same GNS data.
+    alg = gns.FiniteAlgebra(((6, 0.5), (4, 0.5)))
+    rng = np.random.default_rng(72)
+    densities = [gns_oracle.density_block(rng, 6, 6), gns_oracle.density_block(rng, 4, 2)]
+    for scale in (1e-13, 1.0, 1e6):
+        rep = gns.gns_representation(gns.make_state(alg, [scale * d for d in densities]))
+        assert (rep.gamma, rep.ideal_dim) == (0.5, 8)
+    with pytest.raises(ValueError, match="Hermitian"):
+        gns.make_state(gns.FiniteAlgebra(((2, 1.0),)), [1e-13 * np.array([[1.0, 1.0], [0.0, 1.0]])])
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +270,7 @@ def test_obstruction_space_is_left_invariant():
     proj_perp = rep.projector()
     proj_j = np.eye(alg.total_dim) - proj_perp
     for _ in range(5):
-        lx = alg.left_mult_matrix(alg.random_element(rng))
+        lx = gns_oracle.left_mult_matrix(alg, alg.random_element(rng))
         leak = np.linalg.norm(proj_perp @ lx @ proj_j)
         assert leak < 1e-10
 

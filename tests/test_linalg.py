@@ -47,31 +47,6 @@ def test_trace_is_tracial_up_to_dim_64():
         assert gap < 1e-12
 
 
-def test_gns_inner_examples():
-    eye = np.eye(2)
-    assert linalg.gns_inner(eye, eye) == 1.0
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    # Trace(A A*)/2 = 1/2 for the elementary nilpotent.
-    assert linalg.gns_inner(nil, nil) == 0.5
-    assert linalg.gns_inner(np.diag([1.0, -1.0]), eye) == 0.0
-
-
-def test_gns_inner_positive_definite():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a = linalg.random_matrix(rng, 4)
-        val = linalg.gns_inner(a, a)
-        assert abs(val.imag) < 1e-14
-        assert val.real > 0.0
-    assert linalg.gns_inner(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
-
-
-def test_gns_inner_against_identity_is_trace():
-    rng = np.random.default_rng(3)
-    a = linalg.random_matrix(rng, 6)
-    assert abs(linalg.gns_inner(a, np.eye(6)) - linalg.normalized_trace(a)) < 1e-15
-
-
 def test_expm_normal_examples():
     np.testing.assert_array_equal(linalg.expm_normal(np.zeros((3, 3))), np.eye(3))
     out = linalg.expm_normal(np.diag([0.0, 1j * np.pi]))
