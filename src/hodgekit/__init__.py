@@ -25,16 +25,13 @@ from .linalg import (
     random_matrix,
     save_matrix,
     save_vector,
-    vector_from_dict,
-    vector_to_dict,
+    within,
 )
 from .clifford import (
     CliffordTower,
     QuadraticSignature,
     build_generators,
     embed_up,
-    indefinite_pairing_form,
-    pairing_matrix,
     relation_residual,
     span_dimension,
     verify_periodicity,

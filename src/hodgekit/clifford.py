@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import STANDARD_STAR
 from .linalg import as_operator, kron
 
 # The Pauli factor 1, X, Z or Y selected by the bits (x_q, z_q) of one qubit.
@@ -213,40 +212,3 @@ def verify_periodicity(signature: QuadraticSignature) -> dict:
         "periodic": extended == 4 * base,
     }
 
-
-# ---------------------------------------------------------------------------
-# Wedge pairing on 2-forms of a 4-torus / 4-manifold coefficient space.
-# Basis order (e12, e13, e14, e23, e24, e34); orientation e1^e2^e3^e4.
-# ---------------------------------------------------------------------------
-
-
-def pairing_matrix() -> np.ndarray:
-    """The symmetric wedge-pairing matrix; squares to the identity.
-
-    <e_ij, e_kl> is the coefficient of e1234 in e_ij ^ e_kl: nonzero only
-    on complementary index pairs, with the sign of the permutation
-    (i, j, k, l).  On an orthonormal basis a ^ b = (a, star b) vol, so
-    this is the matrix of the Hodge star.
-    """
-    return STANDARD_STAR.copy()
-
-
-def indefinite_pairing_form(coeffs_a, coeffs_b):
-    """Bilinear wedge pairing of two 2-forms given by 6-coefficient vectors.
-
-    Real on real input; the quadratic form Q(a) = <a, a> has signature
-    (3, 3), positive on self-dual and negative on anti-self-dual forms.
-    No conjugation is applied, so complex coefficient vectors pair
-    bilinearly, which is what integration of a wedge product does.
-    """
-    a = np.asarray(coeffs_a)
-    b = np.asarray(coeffs_b)
-    if a.shape != (6,) or b.shape != (6,):
-        raise ValueError(
-            f"expected 6-coefficient vectors, got shapes {a.shape} and {b.shape}"
-        )
-    value = a @ STANDARD_STAR @ b
-    if np.iscomplexobj(value):
-        z = complex(value)
-        return z.real if z.imag == 0.0 else z
-    return float(value)

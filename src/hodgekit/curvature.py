@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius
+from .linalg import DEFAULT_TOL, INPUT_TOL, frobenius, within
 
 # Star on the coordinate basis: *e12 = e34, *e13 = -e24, *e14 = e23,
 # and symmetrically back.  Column j holds the coefficients of *e_j.
@@ -57,9 +57,6 @@ BASIS_CHANGE = np.array(
 # The star in its own eigenbasis.
 SPLIT_STAR = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
-_BLOCK_TOL = 1e-12
-_SYMMETRY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CurvatureOperator:
@@ -71,25 +68,23 @@ class CurvatureOperator:
     ric0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weyl_plus", _as_block(self.weyl_plus, "weyl_plus"))
-        object.__setattr__(self, "weyl_minus", _as_block(self.weyl_minus, "weyl_minus"))
-        object.__setattr__(self, "ric0", _as_block(self.ric0, "ric0", traceless=False, symmetric=False))
+        names = ("weyl_plus", "weyl_minus", "ric0")
+        blocks = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        for name, m in zip(names, blocks):
+            if m.shape != (3, 3):
+                raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
+            object.__setattr__(self, name, m)
+        # The Weyl gates are relative to the size of the whole operator.
+        scale = max(abs(float(self.scal)), *map(frobenius, blocks))
+        for name, m in zip(names[:2], blocks):
+            for res, what in ((frobenius(m - m.T), "symmetric"), (abs(np.trace(m)), "traceless")):
+                if not within(res, scale, INPUT_TOL):
+                    raise ValueError(f"{name} must be {what} within {INPUT_TOL:.0e} relative")
 
     @property
     def lam(self) -> float:
         """Einstein constant Lambda = Scal/4, meaningful when ric0 = 0."""
         return float(self.scal) / 4.0
-
-
-def _as_block(b, name, traceless=True, symmetric=True) -> np.ndarray:
-    m = np.asarray(b, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    if symmetric and frobenius(m - m.T) > _BLOCK_TOL:
-        raise ValueError(f"{name} must be symmetric within {_BLOCK_TOL:.0e}")
-    if traceless and abs(np.trace(m)) > _BLOCK_TOL:
-        raise ValueError(f"{name} must be traceless within {_BLOCK_TOL:.0e}")
-    return m
 
 
 def assemble_curvature(op: CurvatureOperator) -> np.ndarray:
@@ -116,13 +111,14 @@ def decompose_curvature(r) -> CurvatureOperator:
     m = np.asarray(r)
     if m.shape != (6, 6):
         raise ValueError(f"expected a 6x6 operator, got shape {m.shape}")
+    scale = frobenius(m)
     if np.iscomplexobj(m):
-        if float(np.abs(m.imag).max()) > _SYMMETRY_TOL:
+        if not within(float(np.abs(m.imag).max()), scale):
             raise ValueError("curvature operator must be real")
         m = m.real
     m = m.astype(float)
-    if frobenius(m - m.T) > _SYMMETRY_TOL:
-        raise ValueError(f"curvature operator must be symmetric within {_SYMMETRY_TOL:.0e}")
+    if not within(frobenius(m - m.T), scale):
+        raise ValueError(f"curvature operator must be symmetric within {DEFAULT_TOL:.0e} relative")
     scal = 2.0 * float(np.trace(m))
     tl = m[:3, :3]
     br = m[3:, 3:]
@@ -208,9 +204,9 @@ def tau_operator(samples) -> float:
     if not pairs:
         raise ValueError("quadrature needs at least one (weight, matrix) pair")
     total = sum(w for w, _ in pairs)
-    if any(w < -1e-12 for w, _ in pairs):
+    if not all(within(-w, 1.0, INPUT_TOL) for w, _ in pairs):
         raise ValueError("quadrature weights must be nonnegative")
-    if abs(total - 1.0) > 1e-10:
+    if not within(abs(total - 1.0), 1.0):
         raise ValueError(f"quadrature weights must sum to 1, got {total!r}")
     acc = 0.0
     for w, r in pairs:

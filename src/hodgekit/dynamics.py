@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_operator, frobenius
+from .curvature import star_commutator_norm
+from .linalg import DEFAULT_TOL, adjoint, as_operator, frobenius, within
 # Re-exported: perfbench/tracing.py wraps expm_normal in this namespace too.
 from .linalg import expm_normal  # noqa: F401
 from .einstein import Refinement
@@ -89,14 +90,14 @@ def is_fixed_point(gen: HodgeGenerator, a, tol: float = DEFAULT_TOL) -> FixedPoi
 
     flow_residual is the worst ||star^t A star^-t - A|| over the sample
     times; the verdict itself uses the commutator ||star A - A star||,
-    which is the exact algebraic criterion and free of sampling.
+    which is the exact algebraic criterion and free of sampling, at
+    tolerance tol relative to ||A||.
     """
     m = as_operator(a)
     flow = max(frobenius(evolve(gen, m, t) - m) for t in FIXED_POINT_TIMES)
-    s = gen.refinement.star
-    comm = frobenius(s @ m - m @ s)
-    return FixedPointReport(fixed=bool(comm <= tol), flow_residual=float(flow),
-                            commutator_norm=float(comm))
+    comm = star_commutator_norm(m, gen.refinement.star)
+    return FixedPointReport(fixed=bool(within(comm, frobenius(m), tol)),
+                            flow_residual=float(flow), commutator_norm=float(comm))
 
 
 def hamiltonian(gen: HodgeGenerator) -> np.ndarray:

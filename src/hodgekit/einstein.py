@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_operator, frobenius, normalized_trace
-
-_REFINEMENT_TOL = 1e-12
+from .curvature import bianchi_residual, star_commutator_norm
+from .linalg import (DEFAULT_TOL, INPUT_TOL, adjoint, as_operator, frobenius,
+                     normalized_trace, within)
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,10 @@ class Refinement:
     n_minus: int
 
 
-def make_refinement(star, tol: float = _REFINEMENT_TOL) -> Refinement:
+def make_refinement(star, tol: float = INPUT_TOL) -> Refinement:
     """Validate a candidate star and record its eigenspace split.
+
+    Every gate has scale 1, which the definition of an involution fixes.
 
     Raises
     ------
@@ -55,14 +57,14 @@ def make_refinement(star, tol: float = _REFINEMENT_TOL) -> Refinement:
     s = as_operator(star)
     d = s.shape[0]
     eye = np.eye(d)
-    if frobenius(s - eye) <= tol:
+    if within(frobenius(s - eye), 1.0, tol):
         raise ValueError("refinement star must differ from the identity")
-    if frobenius(s - adjoint(s)) > tol:
+    if not within(frobenius(s - adjoint(s)), 1.0, tol):
         raise ValueError("refinement star must be self-adjoint")
-    if frobenius(s @ s - eye) > tol:
+    if not within(frobenius(s @ s - eye), 1.0, tol):
         raise ValueError("refinement star must square to the identity")
     tr = normalized_trace(s)
-    if abs(tr) > tol:
+    if not within(abs(tr), 1.0, tol):
         raise ValueError(
             f"refinement star must have zero normalized trace, got {tr:.3e}"
         )
@@ -92,20 +94,23 @@ class VacuumReport:
 
 
 def check_einstein_vacuum(q, refinement: Refinement, tol: float = DEFAULT_TOL) -> VacuumReport:
-    """Test the three vacuum identities at tolerance tol.
+    """Test the three vacuum identities at tolerance tol relative to ||Q||.
 
-    lam reports 3 Re tau(Q) whether or not Q solves.
+    The residuals are ||Q - Q*||, |tau(Q star)| and ||star Q - Q star||
+    (equal to ||star Q star - Q||, the star being unitary).  lam reports
+    3 Re tau(Q) whether or not Q solves.
     """
     m = as_operator(q)
     s = refinement.star
     if m.shape != s.shape:
         raise ValueError(f"operator shape {m.shape} does not match refinement dim {refinement.dim}")
     sa = frobenius(m - adjoint(m))
-    bianchi = abs(normalized_trace(m @ s))
-    einstein = frobenius(s @ m @ s - m)
+    bianchi = bianchi_residual(m, s)
+    einstein = star_commutator_norm(m, s)
     lam = 3.0 * normalized_trace(m).real
+    scale = frobenius(m)
     return VacuumReport(
-        solves=bool(sa <= tol and bianchi <= tol and einstein <= tol),
+        solves=bool(all(within(res, scale, tol) for res in (sa, bianchi, einstein))),
         self_adjoint_residual=float(sa),
         bianchi_residual=float(bianchi),
         einstein_residual=float(einstein),

@@ -22,8 +22,8 @@ faithful phi; in the II_1 setting the survivor is a proper corner and
 the bound is strict, a boundary effect this finite model keeps visible.
 
 So one eigh per density block gives everything.  An eigenvalue counts
-as zero when it is at most tol * max(1, largest over all blocks): the
-cutoff on the Gram matrix phi(E_a* E_b) = I_k (x) D_i^T that the
+as zero when it is at most tol, relative to the unit mass of the state:
+the cutoff on the Gram matrix phi(E_a* E_b) = I_k (x) D_i^T that the
 brute-force reference in tests/gns_oracle.py diagonalizes.
 """
 
@@ -34,9 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-_WEIGHT_TOL = 1e-12
-_PSD_TOL = 1e-12
-_RANK_TOL = 1e-10
+from .linalg import DEFAULT_TOL, INPUT_TOL, within
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class FiniteAlgebra:
         if not cleaned:
             raise ValueError("algebra needs at least one summand")
         total = sum(w for _, w in cleaned)
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        if not within(abs(total - 1.0), 1.0, INPUT_TOL):
             raise ValueError(f"summand weights must sum to 1, got {total!r}")
         object.__setattr__(self, "summands", tuple(cleaned))
 
@@ -130,7 +128,7 @@ class AlgebraState:
         return sum(complex(np.trace(d @ b)) for d, b in zip(self.densities, x))
 
 
-def make_state(algebra: FiniteAlgebra, densities, tol: float = _PSD_TOL) -> AlgebraState:
+def make_state(algebra: FiniteAlgebra, densities, tol: float = INPUT_TOL) -> AlgebraState:
     """Validate density blocks and normalize the total mass to one.
 
     The gates are relative to the largest block norm s, so the verdict
@@ -145,12 +143,12 @@ def make_state(algebra: FiniteAlgebra, densities, tol: float = _PSD_TOL) -> Alge
     blocks = algebra.element(densities)
     scale = max(float(np.linalg.norm(d)) for d in blocks)
     for d in blocks:
-        if np.linalg.norm(d - d.conj().T) > tol * scale:
+        if not within(np.linalg.norm(d - d.conj().T), scale, tol):
             raise ValueError("density blocks must be Hermitian")
-        if float(np.linalg.eigvalsh(d).min()) < -tol * scale:
+        if not within(-float(np.linalg.eigvalsh(d).min()), scale, tol):
             raise ValueError("density blocks must be positive semidefinite")
     total = sum(float(np.trace(d).real) for d in blocks)
-    if scale == 0.0 or total <= tol * scale:
+    if within(total, scale, tol):
         raise ValueError("state must have positive total mass")
     return AlgebraState(algebra=algebra, densities=tuple(d / total for d in blocks))
 
@@ -158,11 +156,10 @@ def make_state(algebra: FiniteAlgebra, densities, tol: float = _PSD_TOL) -> Alge
 def _kernels(state: AlgebraState, tol: float) -> list:
     """Orthonormal kernel vectors of each density block, as columns."""
     spectra = [np.linalg.eigh(d) for d in state.densities]
-    cutoff = tol * max(1.0, max(float(vals[-1]) for vals, _ in spectra))
-    return [vecs[:, vals <= cutoff] for vals, vecs in spectra]
+    return [vecs[:, within(vals, 1.0, tol)] for vals, vecs in spectra]
 
 
-def gns_null_ideal(state: AlgebraState, tol: float = _RANK_TOL) -> list:
+def gns_null_ideal(state: AlgebraState, tol: float = DEFAULT_TOL) -> list:
     """Orthonormal (GNS) basis of the left ideal { A : phi(A* A) = 0 }.
 
     Block i contributes sqrt(k_i / lambda_i) e_a v* for each row a and
@@ -236,7 +233,7 @@ class GnsRepresentation:
                                  [k * k for k in alg.dims]))
 
 
-def gns_representation(state: AlgebraState, tol: float = _RANK_TOL) -> GnsRepresentation:
+def gns_representation(state: AlgebraState, tol: float = DEFAULT_TOL) -> GnsRepresentation:
     """Build the induced representation and its coupling weight gamma.
 
     A block survives in J-perp exactly when its density is faithful;

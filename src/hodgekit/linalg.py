@@ -9,6 +9,15 @@ and the GNS scalar product
 turns it into a Hilbert space in which the identity is a unit vector.
 Everything downstream (curvature operators, refinements, Clifford
 towers, GNS quotients) speaks this dialect.
+
+This module also holds the package's one verdict rule.  A check passes
+when residual <= tol * scale, the normwise relative (backward-error)
+test of Higham, Accuracy and Stability of Numerical Algorithms (2nd
+ed., 2002), ch. 7.  The scale is the largest Frobenius norm among the
+operands of the identity, or 1 where the definition fixes it, so a
+verdict does not depend on units and a zero operand needs an exactly
+zero residual.  The three tolerances below are the only ones in the
+package.
 """
 
 from __future__ import annotations
@@ -17,11 +26,17 @@ import json
 
 import numpy as np
 
-# Frobenius-norm comparison tolerance used when a caller does not override.
+# For identities, for input validation (symmetric, traceless, normalized
+# or involutive input), and for the time derivatives of a state functional
+# F, which is bilinear in (eta, omega), so its scale is ||eta|| ||omega||.
 DEFAULT_TOL = 1e-10
+INPUT_TOL = 1e-12
+STATIONARITY_TOL = 1e-8
 
-# Normality gate for the spectral exponential.
-NORMALITY_TOL = 1e-10
+
+def within(residual, scale, tol: float = DEFAULT_TOL):
+    """The verdict rule: residual <= tol * scale (elementwise on arrays)."""
+    return residual <= tol * scale
 
 
 def as_operator(a) -> np.ndarray:
@@ -68,7 +83,7 @@ def normality_residual(a) -> float:
     return operator_norm(m @ ad - ad @ m)
 
 
-def expm_normal(a, tol: float = NORMALITY_TOL) -> np.ndarray:
+def expm_normal(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Exponential of a normal matrix via two Hermitian eigendecompositions.
 
     A normal matrix splits as A = H + iK with H = (A + A*)/2 and
@@ -81,20 +96,20 @@ def expm_normal(a, tol: float = NORMALITY_TOL) -> np.ndarray:
     Parameters
     ----------
     a : array_like
-        Square matrix with ||A A* - A* A|| <= tol in operator norm.
+        Square matrix with ||A A* - A* A|| <= tol ||A||^2 in operator norm.
     tol : float
-        Normality gate.
+        Normality gate, relative to ||A||^2, the scale of both products.
 
     Raises
     ------
     ValueError
-        If the normality residual exceeds tol.
+        If the normality residual exceeds tol ||A||^2.
     """
     m = as_operator(a)
     res = normality_residual(m)
-    if res > tol:
+    if not within(res, operator_norm(m) ** 2, tol):
         raise ValueError(
-            f"matrix is not normal: ||A A* - A* A|| = {res:.3e} exceeds {tol:.1e}"
+            f"matrix is not normal: ||A A* - A* A|| = {res:.3e} exceeds {tol:.1e} ||A||^2"
         )
     ad = m.conj().T
     return _expm_hermitian(0.5 * (m + ad), 1.0) @ _expm_hermitian(-0.5j * (m - ad), 1j)
@@ -152,26 +167,6 @@ def matrix_from_dict(obj) -> np.ndarray:
     return flat.reshape(d, d)
 
 
-def vector_to_dict(v) -> dict:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d coefficient vector, got shape {arr.shape}")
-    return {"coefficients": [[float(z.real), float(z.imag)] for z in arr]}
-
-
-def vector_from_dict(obj, length: int | None = None) -> np.ndarray:
-    if not isinstance(obj, dict) or "coefficients" not in obj:
-        raise ValueError("vector object needs a 'coefficients' field")
-    coeffs = obj["coefficients"]
-    if length is not None and len(coeffs) != length:
-        raise ValueError(f"expected {length} coefficients, got {len(coeffs)}")
-    out = np.empty(len(coeffs), dtype=np.complex128)
-    for k, pair in enumerate(coeffs):
-        re, im = _as_pair(pair)
-        out[k] = complex(re, im)
-    return out
-
-
 def _as_pair(pair):
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"entry must be a [re, im] pair, got {pair!r}")
@@ -193,11 +188,20 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_vector(path, v) -> None:
+    arr = np.asarray(v, dtype=np.complex128)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-d coefficient vector, got shape {arr.shape}")
     with open(path, "w") as fh:
-        json.dump(vector_to_dict(v), fh)
+        json.dump({"coefficients": [[float(z.real), float(z.imag)] for z in arr]}, fh)
         fh.write("\n")
 
 
 def load_vector(path, length: int | None = None) -> np.ndarray:
     with open(path) as fh:
-        return vector_from_dict(json.load(fh), length=length)
+        obj = json.load(fh)
+    if not isinstance(obj, dict) or "coefficients" not in obj:
+        raise ValueError("vector object needs a 'coefficients' field")
+    coeffs = obj["coefficients"]
+    if length is not None and len(coeffs) != length:
+        raise ValueError(f"expected {length} coefficients, got {len(coeffs)}")
+    return np.array([complex(*_as_pair(pair)) for pair in coeffs], dtype=np.complex128)

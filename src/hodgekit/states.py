@@ -29,7 +29,7 @@ import numpy as np
 
 from .curvature import STANDARD_STAR
 from .dynamics import HodgeGenerator, PerturbedGenerator, evolve, perturbed_evolve
-from .linalg import as_operator
+from .linalg import INPUT_TOL, as_operator, within
 
 TWO_PI_I = 2j * np.pi
 
@@ -83,16 +83,16 @@ def _form_vector(omega) -> np.ndarray:
     return TorusForm(np.asarray(omega)).vector
 
 
-def is_self_dual(v, tol: float = 1e-12) -> bool:
+def is_self_dual(v, tol: float = INPUT_TOL) -> bool:
     """Whether the star fixes the coefficient vector: ||star v - v|| <= tol ||v||."""
     vec = np.asarray(v, dtype=np.complex128)
-    return bool(np.linalg.norm(STANDARD_STAR @ vec - vec) <= tol * np.linalg.norm(vec))
+    return bool(within(np.linalg.norm(STANDARD_STAR @ vec - vec), np.linalg.norm(vec), tol))
 
 
-def is_anti_self_dual(v, tol: float = 1e-12) -> bool:
+def is_anti_self_dual(v, tol: float = INPUT_TOL) -> bool:
     """Whether the star negates the coefficient vector: ||star v + v|| <= tol ||v||."""
     vec = np.asarray(v, dtype=np.complex128)
-    return bool(np.linalg.norm(STANDARD_STAR @ vec + vec) <= tol * np.linalg.norm(vec))
+    return bool(within(np.linalg.norm(STANDARD_STAR @ vec + vec), np.linalg.norm(vec), tol))
 
 
 def surface_integral(sigma, omega) -> complex:
@@ -164,9 +164,11 @@ def homology_pairing(sigma, omega) -> complex:
 
 
 def pairing_is_degenerate(sigma, omega, tol: float = 0.0) -> bool:
-    """True when integration of omega over Sigma gives nothing.
+    """True when the integral of omega over Sigma is within tol ||Sigma|| ||omega||
+    of zero (its Cauchy-Schwarz bound).
 
     This is the branch on which the induced null ideal swallows the
     whole algebra and the coupling drops to zero.
     """
-    return bool(abs(surface_integral(sigma, omega)) <= tol)
+    scale = np.linalg.norm(_sigma_vector(sigma)) * np.linalg.norm(_form_vector(omega))
+    return bool(within(abs(surface_integral(sigma, omega)), scale, tol))

@@ -120,6 +120,19 @@ def test_solve_einstein_check_only_failure_exits_one(tmp_path):
     assert payload["results"]["einstein_residual"] == 0.0
 
 
+def test_solve_einstein_check_only_rejects_a_tiny_star(tmp_path):
+    # The star witness above in smaller units: a Bianchi residual of
+    # 1e-12 is not small next to ||Q|| = 1e-12 sqrt(6).
+    star_path = tmp_path / "star.json"
+    input_path = tmp_path / "tiny.json"
+    linalg.save_matrix(star_path, cv.SPLIT_STAR)
+    linalg.save_matrix(input_path, 1e-12 * cv.SPLIT_STAR)
+    proc = run_cli("solve-einstein", "--input", str(input_path), "--star", str(star_path),
+                   "--check-only")
+    assert proc.returncode == 1
+    assert parse_envelope(proc)["results"]["solves"] is False
+
+
 def test_gns_default_trace_state():
     proc = run_cli("gns", "--algebra", "2:0.5,2:0.5", check=True)
     results = parse_envelope(proc)["results"]
@@ -188,6 +201,32 @@ def test_dynamics_fixed_point():
     results = parse_envelope(proc)["results"]
     assert results["fixed"] is False
     assert results["commutator_norm"] > 0.1
+
+
+def test_manifold_large_curvature_probes_agree():
+    # ||R|| is about 2.4e6: the sampled flow leaves a rounding residual of
+    # 2e-10 that is 8e-17 relative, and must not outvote the other probes.
+    payload = parse_envelope(run_cli("manifold", "s4", "--params", "0.001", check=True))
+    assert payload["results"]["einstein_tests_agree"] is True
+    assert payload["results"]["is_einstein"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("manifold", "s2xs2", "--params", "1e-4,1e-4"),
+    ("dynamics", "--manifold", "cp2", "--params", "1e-5"),
+])
+def test_weyl_gate_is_relative_to_the_operator(argv):
+    # Entries of order 1/r^2 leave trace rounding far above 1e-12.
+    payload = parse_envelope(run_cli(*argv, check=True))
+    assert payload["pass"] is True
+
+
+def test_manifold_small_curvature_is_not_einstein():
+    # Curvature about 1e-10: the Ric0 and commutator probes must both see
+    # the skew product, rather than one of them calling it flat.
+    payload = parse_envelope(run_cli("manifold", "s2xs2", "--params", "1e5,2e5", check=True))
+    assert payload["results"]["is_einstein"] is False
+    assert payload["results"]["einstein_tests_agree"] is True
 
 
 def test_states_self_dual_form(tmp_path):

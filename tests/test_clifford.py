@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgekit import clifford, linalg
+from hodgekit.curvature import STANDARD_STAR
 
 
 def _all_signatures(max_m):
@@ -156,44 +157,5 @@ def test_wedge_pairing_matches_permutation_parity():
     expected = np.array(
         [[_pairing_sign(p, q) for q in pairs] for p in pairs], dtype=float
     )
-    np.testing.assert_array_equal(clifford.pairing_matrix(), expected)
+    np.testing.assert_array_equal(STANDARD_STAR, expected)
 
-
-def test_wedge_pairing_shape_and_signature():
-    w = clifford.pairing_matrix()
-    np.testing.assert_array_equal(w, w.T)
-    np.testing.assert_array_equal(w @ w, np.eye(6))
-    eigs = np.sort(np.linalg.eigvalsh(w))
-    np.testing.assert_allclose(eigs, [-1, -1, -1, 1, 1, 1], atol=1e-14)
-
-
-def test_indefinite_pairing_form_examples():
-    e12 = np.array([1.0, 0, 0, 0, 0, 0])
-    e34 = np.array([0.0, 0, 0, 0, 0, 1])
-    e13 = np.array([0.0, 1, 0, 0, 0, 0])
-    e24 = np.array([0.0, 0, 0, 0, 1, 0])
-    assert clifford.indefinite_pairing_form(e12, e34) == 1.0
-    assert clifford.indefinite_pairing_form(e13, e24) == -1.0
-    assert clifford.indefinite_pairing_form(e12, e12) == 0.0
-
-
-def test_indefinite_pairing_form_is_bilinear_symmetric():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal(6)
-    b = rng.standard_normal(6)
-    c = rng.standard_normal(6)
-    lhs = clifford.indefinite_pairing_form(a + 2.0 * c, b)
-    rhs = clifford.indefinite_pairing_form(a, b) + 2.0 * clifford.indefinite_pairing_form(c, b)
-    assert abs(lhs - rhs) < 1e-12
-    assert (
-        abs(
-            clifford.indefinite_pairing_form(a, b)
-            - clifford.indefinite_pairing_form(b, a)
-        )
-        < 1e-12
-    )
-
-
-def test_indefinite_pairing_form_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        clifford.indefinite_pairing_form(np.zeros(5), np.zeros(6))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hodgekit import curvature as cv
-from hodgekit import clifford, linalg
+from hodgekit import linalg
 
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -88,10 +88,6 @@ def test_standard_star_basis_action():
     np.testing.assert_array_equal(cv.STANDARD_STAR @ e14, np.eye(6)[3])
 
 
-def test_star_equals_wedge_pairing_in_flat_frame():
-    np.testing.assert_array_equal(cv.STANDARD_STAR, clifford.pairing_matrix())
-
-
 def test_basis_change_is_orthogonal_and_diagonalizes_star():
     b = cv.BASIS_CHANGE
     np.testing.assert_allclose(b @ b.T, np.eye(6), atol=1e-15)
@@ -154,6 +150,17 @@ def test_block_validation():
     asym = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         cv.CurvatureOperator(0.0, asym, np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1e-4, 1.0, 1e4])
+def test_block_gates_are_relative_to_the_operator(radius):
+    # Weyl trace rounding grows with the entries, about 1/r^2.
+    for model in (cv.exemplar("s2xs2", radius, radius), cv.exemplar("cp2", radius)):
+        assert cv.ric0_norm(model.matrix) <= 1e-12 * linalg.frobenius(model.matrix)
+    # A defect that is small in absolute terms is still a defect.
+    bad = 1e-20 * np.diag([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="traceless"):
+        cv.CurvatureOperator(0.0, bad, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 def test_decompose_validation():

@@ -69,6 +69,25 @@ def test_check_skew_sphere_product_fails_only_einstein():
     assert report.einstein_residual > 0.1
 
 
+def test_check_uses_the_curvature_bianchi_residual():
+    # One implementation of |tau(Q star)|, on the check's complex copies.
+    rng = np.random.default_rng(91)
+    for _ in range(200):
+        ref = make_refinement(cv.SPLIT_STAR) if rng.random() < 0.5 else _random_refinement(rng, 6)
+        q = linalg.random_matrix(rng, 6, 10.0 ** rng.uniform(-6.0, 6.0))
+        report = check_einstein_vacuum(q, ref)
+        assert report.bianchi_residual == cv.bianchi_residual(linalg.as_operator(q), ref.star)
+        assert report.einstein_residual == cv.star_commutator_norm(linalg.as_operator(q), ref.star)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+def test_check_verdict_does_not_depend_on_units(scale):
+    ref = make_refinement(cv.SPLIT_STAR)
+    assert check_einstein_vacuum(scale * cv.exemplar("cp2", 1.0).matrix, ref).solves is True
+    assert check_einstein_vacuum(scale * cv.SPLIT_STAR, ref).solves is False
+    assert check_einstein_vacuum(np.zeros((6, 6)), ref).solves is True
+
+
 def test_check_shape_mismatch():
     ref = make_refinement(cv.SPLIT_STAR)
     with pytest.raises(ValueError):

@@ -72,6 +72,16 @@ def test_expm_normal_group_law():
         assert linalg.frobenius(lhs - rhs) < 1e-9
 
 
+def test_expm_normal_gate_is_relative():
+    rng = np.random.default_rng(33)
+    q, _ = np.linalg.qr(linalg.random_matrix(rng, 6))
+    big = q @ np.diag(1e6 * rng.standard_normal(6)) @ q.conj().T
+    out = linalg.expm_normal(1j * big)
+    np.testing.assert_allclose(out @ out.conj().T, np.eye(6), atol=1e-8)
+    with pytest.raises(ValueError, match="not normal"):
+        linalg.expm_normal([[0.0, 1e-6], [0.0, 0.0]])
+
+
 def test_expm_normal_rejects_non_normal():
     with pytest.raises(ValueError, match="not normal"):
         linalg.expm_normal([[0.0, 1.0], [0.0, 0.0]])
@@ -139,3 +149,16 @@ def test_vector_json_round_trip(tmp_path):
         linalg.load_vector(path, length=5)
     payload = json.loads(path.read_text())
     assert set(payload) == {"coefficients"}
+
+
+def test_vector_json_rejections(tmp_path):
+    path = tmp_path / "v.json"
+    with pytest.raises(ValueError, match="1-d coefficient vector"):
+        linalg.save_vector(path, np.eye(2))
+    assert not path.exists()
+    for payload, message in (([1.0], "'coefficients' field"),
+                             ({"coefficients": [[1.0]]}, r"\[re, im\] pair"),
+                             ({"coefficients": [[np.nan, 0.0]]}, "finite")):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            linalg.load_vector(path)

@@ -1,0 +1,99 @@
+"""Einstein verdicts do not depend on units or on the frame.
+
+Block data is drawn over the whole 20-dimensional space of algebraic
+curvature operators: scal (1), W+ (5), W- (5) and Ric0 (9).  An
+orientation-preserving frame change acts on the 2-forms through a pair
+(A, B) in SO(3) x SO(3), sending (W+, W-, Ric0) to (A W+ A^T, B W- B^T,
+A Ric0 B^T), and the whole operator is then scaled by 10^k.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hodgekit import cli
+from hodgekit import curvature as cv
+from hodgekit import dynamics as dyn
+from hodgekit import linalg
+from hodgekit.einstein import make_refinement
+
+GEN = dyn.hodge_generator(make_refinement(cv.SPLIT_STAR))
+
+unit = st.floats(-1.0, 1.0)
+
+
+def _traceless(p):
+    a, b, c, d, e = p
+    return np.array([[a, b, c], [b, d, e], [c, e, -a - d]])
+
+
+@st.composite
+def rotations(draw):
+    """A rotation from a unit quaternion."""
+    q = np.array(draw(st.tuples(unit, unit, unit, unit)))
+    assume(np.linalg.norm(q) > 0.1)
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+@st.composite
+def curvature_operators(draw):
+    """(R, einstein): Ric0 is exactly zero or at least 1e-6 ||R||."""
+    scal = draw(unit)
+    wp = _traceless(draw(st.tuples(*[unit] * 5)))
+    wm = _traceless(draw(st.tuples(*[unit] * 5)))
+    einstein = draw(st.booleans())
+    ric0 = np.zeros((3, 3)) if einstein else np.array(draw(st.lists(unit, min_size=9,
+                                                                    max_size=9))).reshape(3, 3)
+    a, b = draw(rotations()), draw(rotations())
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    op = cv.CurvatureOperator(scale * scal, scale * (a @ wp @ a.T), scale * (b @ wm @ b.T),
+                              scale * (a @ ric0 @ b.T))
+    r = cv.assemble_curvature(op)
+    if not einstein:
+        assume(linalg.frobenius(op.ric0) >= 1e-6 * linalg.frobenius(r))
+    return r, einstein
+
+
+@settings(max_examples=300, deadline=None)
+@given(curvature_operators())
+def test_einstein_probes_agree_at_every_scale_and_frame(drawn):
+    r, einstein = drawn
+    scale = linalg.frobenius(r)
+    fp = dyn.is_fixed_point(GEN, r)
+    assert fp.fixed == einstein
+    assert bool(linalg.within(cv.ric0_norm(r), scale)) == einstein
+    assert bool(linalg.within(fp.flow_residual, scale)) == einstein
+    assert linalg.within(cv.bianchi_residual(r), scale)
+
+
+def _verdict(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    assert rc == 0, argv
+    res = json.loads(out.getvalue())["results"]
+    return {k: res[k] for k in ("is_einstein", "fixed", "einstein_tests_agree",
+                                "einstein_agrees", "vacuum_solves") if k in res}
+
+
+EXEMPLARS = (("s4", lambda r: [r]), ("cp2", lambda r: [r]),
+             ("s2xs2", lambda r: [r, r]), ("s2xs2", lambda r: [r, 2.0 * r]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(EXEMPLARS), st.floats(-6.0, 6.0))
+def test_cli_verdicts_do_not_depend_on_the_radius(exemplar, log_radius):
+    name, params = exemplar
+    text = ",".join(repr(p) for p in params(10.0 ** log_radius))
+    unit_text = ",".join(repr(p) for p in params(1.0))
+    for argv in (["manifold", name, "--params"], ["dynamics", "--manifold", name, "--params"]):
+        assert _verdict(argv + [text]) == _verdict(argv + [unit_text])

@@ -7,7 +7,6 @@ from hodgekit import curvature as cv
 from hodgekit import dynamics as dyn
 from hodgekit import states as st
 from hodgekit import linalg
-from hodgekit.clifford import indefinite_pairing_form
 from hodgekit.einstein import make_refinement
 
 E = np.eye(6)
@@ -48,7 +47,7 @@ def test_poincare_dual_represents_integration():
         sigma = tuple(int(x) for x in rng.integers(-3, 4, 6))
         omega = rng.standard_normal(6)
         eta = st.poincare_dual(sigma)
-        lhs = indefinite_pairing_form(omega, eta)
+        lhs = omega @ cv.STANDARD_STAR @ eta
         rhs = st.surface_integral(sigma, omega)
         assert abs(lhs - rhs) < 1e-12
 
