@@ -265,18 +265,15 @@ def _cmd_gns(args) -> int:
     tol = args.tol
 
     rng = np.random.default_rng(args.seed)
-    mult = star_res = 0.0
-    unit_res = 0.0
+    mult = star_res = unit_res = 0.0
     if rep.perp_dim:
-        eye = np.eye(rep.perp_dim)
-        unit_res = float(np.linalg.norm(rep.represent(alg.identity()) - eye))
+        unit_res = frobenius(rep.represent(alg.identity()) - np.eye(rep.perp_dim))
         for _ in range(5):
             x = alg.random_element(rng)
             y = alg.random_element(rng)
             rx, ry = rep.represent(x), rep.represent(y)
-            mult = max(mult, float(np.linalg.norm(rep.represent(alg.mul(x, y)) - rx @ ry)))
-            star_res = max(star_res, float(np.linalg.norm(
-                rep.represent(alg.adj(x)) - rx.conj().T)))
+            mult = max(mult, frobenius(rep.represent(alg.mul(x, y)) - rx @ ry))
+            star_res = max(star_res, frobenius(rep.represent(alg.adj(x)) - rx.conj().T))
     ideal_res = gnsmod.left_ideal_residual(state, rep.ideal, rng)
 
     # Scale 1: the state has unit mass and the samples unit scale.
@@ -313,7 +310,7 @@ def _cmd_dynamics(args) -> int:
         "expected_einstein": model.expected_einstein,
         "einstein_agrees": agree,
     }
-    inputs = {"manifold": model.name, "params": list(model.params), "check": args.check}
+    inputs = {"manifold": model.name, "params": list(model.params), "check": "fixed-point"}
     return _write_report(args, "dynamics", inputs, results, {"identity": tol}, ok)
 
 
@@ -343,7 +340,7 @@ def _cmd_states(args) -> int:
                 st.perturbed_stationarity(sigma, omega, pg, a) for a in samples))
 
     # F is bilinear in (eta, omega).
-    scale = float(np.linalg.norm(eta) * np.linalg.norm(omega))
+    scale = frobenius(eta) * frobenius(omega)
     stationary = (within(base, scale, STATIONARITY_TOL)
                   and within(pert, scale, STATIONARITY_TOL))
     pairing = st.homology_pairing(sigma, omega)
@@ -361,7 +358,7 @@ def _cmd_states(args) -> int:
         "homology_pairing": complex(pairing),
         "degenerate_pairing": st.pairing_is_degenerate(sigma, omega),
     }
-    inputs = {"sigma": list(sigma.coefficients), "omega": args.omega, "check": args.check}
+    inputs = {"sigma": list(sigma.coefficients), "omega": args.omega, "check": "stationarity"}
     return _write_report(args, "states", inputs, results,
                          {"identity": tol, "stationarity": STATIONARITY_TOL,
                           "stationarity_scale": scale}, ok)
@@ -433,14 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed-point test of the star flow on an exemplar")
     p.add_argument("--manifold", required=True, choices=["s4", "t4_flat", "s2xs2", "cp2"])
     p.add_argument("--params", default="", help="comma-separated parameters")
-    p.add_argument("--check", default="fixed-point", choices=["fixed-point"])
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("states", parents=[common],
                        help="stationarity of a surface-supported state functional")
     p.add_argument("--sigma", required=True, help="six integer surface coefficients")
     p.add_argument("--omega", required=True, help="vector JSON file with 6 form coefficients")
-    p.add_argument("--check", default="stationarity", choices=["stationarity"])
     p.set_defaults(func=_cmd_states)
 
     p = sub.add_parser("constants", parents=[common],

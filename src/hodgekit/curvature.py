@@ -155,7 +155,7 @@ def exemplar(name: str, *params: float) -> ManifoldModel:
                  direction first, W- = 0, Lambda = 6/lam.
     """
     if name == "s4":
-        (radius,) = _positive_params("s4", params, 1)
+        (radius,) = _positive_params("s4", params, 1, 2)
         k = 1.0 / radius**2
         op = CurvatureOperator(scal=12.0 * k, weyl_plus=np.zeros((3, 3)),
                                weyl_minus=np.zeros((3, 3)), ric0=np.zeros((3, 3)))
@@ -167,7 +167,7 @@ def exemplar(name: str, *params: float) -> ManifoldModel:
                                weyl_minus=np.zeros((3, 3)), ric0=np.zeros((3, 3)))
         return ManifoldModel("t4_flat", (), op, True, 0.0)
     if name == "s2xs2":
-        r1, r2 = _positive_params("s2xs2", params, 2)
+        r1, r2 = _positive_params("s2xs2", params, 2, 2)
         k1, k2 = 1.0 / r1**2, 1.0 / r2**2
         # Coordinate-basis operator: only the two sphere planes curve.
         r_std = np.diag([k1, 0.0, 0.0, 0.0, 0.0, k2])
@@ -176,7 +176,7 @@ def exemplar(name: str, *params: float) -> ManifoldModel:
         einstein = r1 == r2
         return ManifoldModel("s2xs2", params, op, einstein, k1 if einstein else None)
     if name == "cp2":
-        (lam,) = _positive_params("cp2", params, 1)
+        (lam,) = _positive_params("cp2", params, 1, 1)
         wp = np.diag([4.0, -2.0, -2.0]) / lam
         op = CurvatureOperator(scal=24.0 / lam, weyl_plus=wp,
                                weyl_minus=np.zeros((3, 3)), ric0=np.zeros((3, 3)))
@@ -184,12 +184,20 @@ def exemplar(name: str, *params: float) -> ManifoldModel:
     raise ValueError(f"unknown exemplar {name!r}; choose s4, t4_flat, s2xs2 or cp2")
 
 
-def _positive_params(name, params, count):
+def _positive_params(name, params, count, power):
+    """Positive parameters p whose curvature 1 / p**power is a finite nonzero double."""
     if len(params) != count:
         raise ValueError(f"{name} takes {count} parameter(s), got {len(params)}")
     vals = tuple(float(p) for p in params)
     if any(not np.isfinite(v) or v <= 0.0 for v in vals):
         raise ValueError(f"{name} parameters must be positive, got {vals}")
+    for v in vals:
+        try:
+            k = 1.0 / v**power
+        except (ZeroDivisionError, OverflowError):
+            k = 0.0
+        if not 0.0 < k < np.inf:
+            raise ValueError(f"{name} parameter {v!r} has no finite nonzero curvature")
     return vals
 
 

@@ -69,11 +69,17 @@ def star_power(gen: HodgeGenerator, t: float) -> np.ndarray:
     return 0.5 * ((1.0 + z) * np.eye(gen.dim) + (1.0 - z) * gen.refinement.star)
 
 
+def _operator_of_dim(a, dim: int) -> np.ndarray:
+    """A as a square operator, checked against the generator dimension."""
+    m = as_operator(a)
+    if m.shape[0] != dim:
+        raise ValueError(f"operator dim {m.shape[0]} does not match generator dim {dim}")
+    return m
+
+
 def evolve(gen: HodgeGenerator, a, t: float) -> np.ndarray:
     """Conjugation flow A -> star^t A star^-t."""
-    m = as_operator(a)
-    if m.shape[0] != gen.dim:
-        raise ValueError(f"operator dim {m.shape[0]} does not match generator dim {gen.dim}")
+    m = _operator_of_dim(a, gen.dim)
     w = star_power(gen, t)
     return w @ m @ adjoint(w)
 
@@ -108,9 +114,7 @@ def hamiltonian(gen: HodgeGenerator) -> np.ndarray:
 def energy(gen: HodgeGenerator, r) -> float:
     """E = tau(H R).  For an Einstein curvature operator in the star
     eigenbasis this evaluates to pi Lambda / 6."""
-    m = as_operator(r)
-    if m.shape[0] != gen.dim:
-        raise ValueError(f"operator dim {m.shape[0]} does not match generator dim {gen.dim}")
+    m = _operator_of_dim(r, gen.dim)
     h = hamiltonian(gen)
     return float((np.trace(h @ m) / gen.dim).real)
 
@@ -127,16 +131,7 @@ class PerturbedGenerator:
     base: HodgeGenerator
     epsilon: float
     sign: int
-    phase: complex
     log_u: np.ndarray
-
-    @property
-    def star_prime(self) -> np.ndarray:
-        s = self.base.refinement.star
-        d = self.base.dim
-        p_minus = 0.5 * (np.eye(d) - s)
-        p_plus = 0.5 * (np.eye(d) + s)
-        return s @ (self.phase * (p_plus + self.sign * p_minus))
 
 
 def perturbed_star(gen: HodgeGenerator, epsilon: float, sign: int = 1) -> PerturbedGenerator:
@@ -151,12 +146,10 @@ def perturbed_star(gen: HodgeGenerator, epsilon: float, sign: int = 1) -> Pertur
         raise ValueError(f"perturbation requires |epsilon| < 1/2, got {epsilon!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    z = np.exp(1j * np.pi * eps)
     log_u = 1j * np.pi * eps * np.eye(gen.dim, dtype=np.complex128)
     if sign == -1:
         log_u = log_u + gen.log_star
-    return PerturbedGenerator(base=gen, epsilon=eps, sign=int(sign), phase=complex(z),
-                              log_u=log_u)
+    return PerturbedGenerator(base=gen, epsilon=eps, sign=int(sign), log_u=log_u)
 
 
 def perturbed_power(pgen: PerturbedGenerator, t: float) -> np.ndarray:
@@ -172,11 +165,7 @@ def perturbed_power(pgen: PerturbedGenerator, t: float) -> np.ndarray:
 
 def perturbed_evolve(pgen: PerturbedGenerator, a, t: float) -> np.ndarray:
     """Conjugation by the perturbed flow; the central phase of U cancels."""
-    m = as_operator(a)
-    if m.shape[0] != pgen.base.dim:
-        raise ValueError(
-            f"operator dim {m.shape[0]} does not match generator dim {pgen.base.dim}"
-        )
+    m = _operator_of_dim(a, pgen.base.dim)
     w = perturbed_power(pgen, t)
     return w @ m @ adjoint(w)
 

@@ -38,12 +38,10 @@ class Refinement:
 
     star: np.ndarray
     dim: int
-    n_plus: int
-    n_minus: int
 
 
 def make_refinement(star, tol: float = INPUT_TOL) -> Refinement:
-    """Validate a candidate star and record its eigenspace split.
+    """Validate a candidate star.
 
     Every gate has scale 1, which the definition of an involution fixes.
 
@@ -68,9 +66,7 @@ def make_refinement(star, tol: float = INPUT_TOL) -> Refinement:
         raise ValueError(
             f"refinement star must have zero normalized trace, got {tr:.3e}"
         )
-    eigs = np.linalg.eigvalsh(s)
-    n_plus = int(np.count_nonzero(eigs > 0.0))
-    return Refinement(star=s, dim=d, n_plus=n_plus, n_minus=d - n_plus)
+    return Refinement(star=s, dim=d)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, INPUT_TOL, within
+from .linalg import DEFAULT_TOL, INPUT_TOL, frobenius, within
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ class FiniteAlgebra:
         return tuple(k for k, _ in self.summands)
 
     @property
-    def weights(self) -> tuple:
-        return tuple(w for _, w in self.summands)
-
-    @property
     def total_dim(self) -> int:
         """Linear dimension sum k_i^2 of the algebra as a vector space."""
         return sum(k * k for k in self.dims)
@@ -95,20 +91,6 @@ class FiniteAlgebra:
 
     def adj(self, x) -> tuple:
         return tuple(a.conj().T for a in x)
-
-    def trace(self, x) -> complex:
-        return sum(w * complex(np.trace(b)) / k
-                   for b, (k, w) in zip(x, self.summands))
-
-    def inner(self, x, y) -> complex:
-        """GNS scalar product tau(x y*)."""
-        return self.trace(self.mul(x, self.adj(y)))
-
-    def coords(self, x) -> np.ndarray:
-        """Isometry onto C^total_dim: tau(x y*) = <coords x, coords y>."""
-        parts = [np.sqrt(w / k) * b.ravel()
-                 for b, (k, w) in zip(x, self.summands)]
-        return np.concatenate(parts)
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> tuple:
         return tuple(
@@ -141,9 +123,9 @@ def make_state(algebra: FiniteAlgebra, densities, tol: float = INPUT_TOL) -> Alg
         or the total trace is at most tol * s (in particular when s = 0).
     """
     blocks = algebra.element(densities)
-    scale = max(float(np.linalg.norm(d)) for d in blocks)
+    scale = max(frobenius(d) for d in blocks)
     for d in blocks:
-        if not within(np.linalg.norm(d - d.conj().T), scale, tol):
+        if not within(frobenius(d - d.conj().T), scale, tol):
             raise ValueError("density blocks must be Hermitian")
         if not within(-float(np.linalg.eigvalsh(d).min()), scale, tol):
             raise ValueError("density blocks must be positive semidefinite")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .curvature import STANDARD_STAR
 from .dynamics import HodgeGenerator, PerturbedGenerator, evolve, perturbed_evolve
-from .linalg import INPUT_TOL, as_operator, within
+from .linalg import INPUT_TOL, as_operator, frobenius, within
 
 TWO_PI_I = 2j * np.pi
 
@@ -83,16 +83,20 @@ def _form_vector(omega) -> np.ndarray:
     return TorusForm(np.asarray(omega)).vector
 
 
+def _in_eigenspace(v, sign: int, tol: float) -> bool:
+    """||star v - sign v|| <= tol ||v||."""
+    vec = np.asarray(v, dtype=np.complex128)
+    return bool(within(frobenius(STANDARD_STAR @ vec - sign * vec), frobenius(vec), tol))
+
+
 def is_self_dual(v, tol: float = INPUT_TOL) -> bool:
     """Whether the star fixes the coefficient vector: ||star v - v|| <= tol ||v||."""
-    vec = np.asarray(v, dtype=np.complex128)
-    return bool(within(np.linalg.norm(STANDARD_STAR @ vec - vec), np.linalg.norm(vec), tol))
+    return _in_eigenspace(v, 1, tol)
 
 
 def is_anti_self_dual(v, tol: float = INPUT_TOL) -> bool:
     """Whether the star negates the coefficient vector: ||star v + v|| <= tol ||v||."""
-    vec = np.asarray(v, dtype=np.complex128)
-    return bool(within(np.linalg.norm(STANDARD_STAR @ vec + vec), np.linalg.norm(vec), tol))
+    return _in_eigenspace(v, -1, tol)
 
 
 def surface_integral(sigma, omega) -> complex:
@@ -170,5 +174,5 @@ def pairing_is_degenerate(sigma, omega, tol: float = 0.0) -> bool:
     This is the branch on which the induced null ideal swallows the
     whole algebra and the coupling drops to zero.
     """
-    scale = np.linalg.norm(_sigma_vector(sigma)) * np.linalg.norm(_form_vector(omega))
+    scale = frobenius(_sigma_vector(sigma)) * frobenius(_form_vector(omega))
     return bool(within(abs(surface_integral(sigma, omega)), scale, tol))

@@ -26,6 +26,14 @@ def star_power(gen, t):
     return expm_schur(float(t) * gen.log_star)
 
 
+def star_prime(pgen):
+    """The perturbed star *' = star z (P+ +/- P-) with z = exp(i pi eps)."""
+    s = pgen.base.refinement.star
+    eye = np.eye(pgen.base.dim)
+    z = np.exp(1j * np.pi * pgen.epsilon)
+    return s @ (z * (0.5 * (eye + s) + pgen.sign * 0.5 * (eye - s)))
+
+
 def perturbed_power(pgen, t):
     """(*')^t = star^t exp(t log U)."""
     return star_power(pgen.base, t) @ expm_schur(float(t) * pgen.log_u)

@@ -10,6 +10,8 @@ import numpy as np
 
 from hodgekit import gns
 
+from gns_oracle import coords
+
 
 def kernel_ideal(state, tol=1e-10):
     """Null ideal basis: blockwise, elements must kill range(D)."""
@@ -46,7 +48,7 @@ def brute_force_gamma(state):
     """(gamma, per-summand ranks, ideal dim, J dim) by explicit spans."""
     alg = state.algebra
     ideal = kernel_ideal(state)
-    products = [alg.coords(alg.mul(a, alg.adj(b))) for a in ideal for b in ideal]
+    products = [coords(alg, alg.mul(a, alg.adj(b))) for a in ideal for b in ideal]
     j_basis = gram_schmidt(products)
     total = alg.total_dim
     proj_perp = np.eye(total, dtype=np.complex128)

@@ -11,7 +11,9 @@ about d^4 cost for an algebra of linear dimension d:
 - the kernel of rho is read off the images of all d matrix units.
 
 The library computes the same quantities in closed form from one
-eigendecomposition per density block.
+eigendecomposition per density block.  The GNS coordinates (`trace`,
+`inner`, `coords`) live here too: only the brute-force pipeline needs
+them.
 """
 
 from dataclasses import dataclass
@@ -33,8 +35,23 @@ def basis(alg) -> list:
     return out
 
 
+def trace(alg, x) -> complex:
+    """tau(x) = sum_i lambda_i Trace(x_i) / k_i, normalized so tau(1) = 1."""
+    return sum(w * complex(np.trace(b)) / k for b, (k, w) in zip(x, alg.summands))
+
+
+def inner(alg, x, y) -> complex:
+    """GNS scalar product tau(x y*)."""
+    return trace(alg, alg.mul(x, alg.adj(y)))
+
+
+def coords(alg, x) -> np.ndarray:
+    """Isometry onto C^total_dim: tau(x y*) = <coords x, coords y>."""
+    return np.concatenate([np.sqrt(w / k) * b.ravel() for b, (k, w) in zip(x, alg.summands)])
+
+
 def from_coords(alg, v) -> tuple:
-    """Inverse of `FiniteAlgebra.coords`."""
+    """Inverse of `coords`."""
     v = np.asarray(v, dtype=np.complex128)
     blocks = []
     pos = 0
@@ -79,8 +96,8 @@ def null_ideal(state, tol=_RANK_TOL) -> list:
         for c, e in zip(col, units):
             x = tuple(xb + c * eb for xb, eb in zip(x, e))
         elements.append(x)
-    coords = np.column_stack([alg.coords(x) for x in elements])
-    q, _ = np.linalg.qr(coords)
+    columns = np.column_stack([coords(alg, x) for x in elements])
+    q, _ = np.linalg.qr(columns)
     return [from_coords(alg, q[:, j]) for j in range(q.shape[1])]
 
 
@@ -103,7 +120,7 @@ def representation(state, tol=_RANK_TOL) -> OracleRepresentation:
     d = alg.total_dim
 
     if ideal:
-        prods = [alg.coords(alg.mul(a, alg.adj(b))) for a in ideal for b in ideal]
+        prods = [coords(alg, alg.mul(a, alg.adj(b))) for a in ideal for b in ideal]
         u, s, _ = np.linalg.svd(np.column_stack(prods), full_matrices=True)
         j_dim = int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
         perp = u[:, j_dim:]

@@ -53,7 +53,8 @@ def test_manifold_skew_product_reports_non_einstein():
 
 
 def test_manifold_all_exemplars_pass():
-    for args in (("s4", "0.5"), ("cp2", "2"), ("s2xs2", "1,1")):
+    # 1e154 is the largest power of ten whose 1/r^2 is a nonzero double.
+    for args in (("s4", "0.5"), ("cp2", "2"), ("s2xs2", "1,1"), ("s4", "1e154")):
         run_cli("manifold", args[0], "--params", args[1], check=True)
     run_cli("manifold", "t4_flat", check=True)
 
@@ -325,6 +326,32 @@ def test_out_flag_writes_file(tmp_path):
 def test_floats_are_printed_with_17_digits():
     proc = run_cli("manifold", "s4", "--params", "1", check=True)
     assert '"energy": 1.5707963267948966' in proc.stdout
+
+
+@pytest.mark.parametrize("argv, param", [
+    (("manifold", "s4", "--params", "1e-170"), "1e-170"),
+    (("manifold", "s2xs2", "--params", "1e-170,1"), "1e-170"),
+    (("dynamics", "--manifold", "s2xs2", "--params", "1,1e160"), "1e+160"),
+    (("manifold", "s4", "--params", "1e-160"), "1e-160"),
+    (("manifold", "cp2", "--params", "1e-310"), "1e-310"),
+])
+def test_curvature_outside_the_doubles_exits_two(argv, param):
+    # 1/r^2 or 1/lam overflows or underflows; the operator is never built.
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"parameter {param} has no finite nonzero curvature" in proc.stderr
+
+
+def test_check_is_a_constant_of_the_envelope(tmp_path):
+    assert run_cli("dynamics", "--manifold", "s4", "--check", "fixed-point").returncode == 2
+    payload = parse_envelope(run_cli("dynamics", "--manifold", "s4", "--params", "1", check=True))
+    assert payload["inputs"]["check"] == "fixed-point"
+    omega_path = tmp_path / "omega.json"
+    linalg.save_vector(omega_path, np.array([1.0, 0, 0, 0, 0, 1.0]))
+    argv = ("states", "--sigma", "1,0,0,0,0,1", "--omega", str(omega_path))
+    assert run_cli(*argv, "--check", "stationarity").returncode == 2
+    assert parse_envelope(run_cli(*argv, check=True))["inputs"]["check"] == "stationarity"
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -261,6 +261,25 @@ def test_exemplar_validation():
         cv.exemplar("klein_bottle")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("s4", (1e-170,)),        # r**2 underflows to 0: ZeroDivisionError
+    ("s4", (1e-160,)),        # 1 / r**2 overflows to inf
+    ("s2xs2", (1e-170, 1.0)),
+    ("s2xs2", (1.0, 1e160)),  # r**2 overflows: OverflowError
+    ("cp2", (1e-310,)),       # 1 / lam overflows to inf
+])
+def test_exemplar_rejects_curvature_outside_the_doubles(name, params):
+    with pytest.raises(ValueError, match="no finite nonzero curvature"):
+        cv.exemplar(name, *params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("s4", (1e154,)), ("s4", (1e-154,)), ("s2xs2", (1.0, 1e154)), ("cp2", (1e-169,)),
+])
+def test_exemplar_accepts_curvature_near_the_double_range(name, params):
+    assert cv.exemplar(name, *params).name == name
+
+
 # ---------------------------------------------------------------------------
 # Scalar functionals.
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgekit import curvature as cv
 from hodgekit import linalg
@@ -19,9 +21,32 @@ def _random_refinement(rng, dim):
 def test_make_refinement_accepts_split_star():
     ref = make_refinement(cv.SPLIT_STAR)
     assert ref.dim == 6
-    assert (ref.n_plus, ref.n_minus) == (3, 3)
+    assert np.count_nonzero(np.linalg.eigvalsh(ref.star) > 0.0) == 3
     ref2 = make_refinement(np.diag([1.0, 1.0, -1.0, -1.0]))
-    assert (ref2.n_plus, ref2.n_minus) == (2, 2)
+    assert np.count_nonzero(np.linalg.eigvalsh(ref2.star) > 0.0) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_refinements_are_the_balanced_involutions(half, seed):
+    # +/-1 eigenvalues in a random unitary frame at even d from 2 to 32.
+    d = 2 * half
+    q, _ = np.linalg.qr(linalg.random_matrix(np.random.default_rng(seed), d))
+    signs = np.array([1.0] * half + [-1.0] * half)
+
+    def frame(diag):
+        return q @ np.diag(diag) @ q.conj().T
+
+    ref = make_refinement(frame(signs))
+    assert ref.dim == d
+    assert np.count_nonzero(np.linalg.eigvalsh(ref.star) > 0.0) == half
+    # One +1 turned into -1 unbalances the split (at d = 2 the star is -1).
+    unbalanced = signs.copy()
+    unbalanced[0] = -1.0
+    with pytest.raises(ValueError, match="zero normalized trace"):
+        make_refinement(frame(unbalanced))
+    with pytest.raises(ValueError, match="square to the identity"):
+        make_refinement(2.0 * frame(signs))
 
 
 def test_make_refinement_rejections():

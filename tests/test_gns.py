@@ -49,11 +49,11 @@ def test_algebra_validation():
 
 def test_trace_is_normalized_and_tracial():
     alg = _mixed()
-    assert alg.trace(alg.identity()) == pytest.approx(1.0)
+    assert gns_oracle.trace(alg, alg.identity()) == pytest.approx(1.0)
     rng = np.random.default_rng(60)
     x = alg.random_element(rng)
     y = alg.random_element(rng)
-    gap = abs(alg.trace(alg.mul(x, y)) - alg.trace(alg.mul(y, x)))
+    gap = abs(gns_oracle.trace(alg, alg.mul(x, y)) - gns_oracle.trace(alg, alg.mul(y, x)))
     assert gap < 1e-13
 
 
@@ -63,10 +63,10 @@ def test_coords_is_a_gns_isometry():
     for _ in range(10):
         x = alg.random_element(rng)
         y = alg.random_element(rng)
-        lhs = alg.inner(x, y)
-        rhs = np.vdot(alg.coords(y), alg.coords(x))
+        lhs = gns_oracle.inner(alg, x, y)
+        rhs = np.vdot(gns_oracle.coords(alg, y), gns_oracle.coords(alg, x))
         assert abs(lhs - rhs) < 1e-12
-        back = gns_oracle.from_coords(alg, alg.coords(x))
+        back = gns_oracle.from_coords(alg, gns_oracle.coords(alg, x))
         assert all(np.allclose(a, b) for a, b in zip(back, x))
 
 
@@ -81,8 +81,8 @@ def test_left_mult_matrix_reproduces_multiplication():
     rng = np.random.default_rng(62)
     x = alg.random_element(rng)
     y = alg.random_element(rng)
-    lhs = gns_oracle.left_mult_matrix(alg, x) @ alg.coords(y)
-    rhs = alg.coords(alg.mul(x, y))
+    lhs = gns_oracle.left_mult_matrix(alg, x) @ gns_oracle.coords(alg, y)
+    rhs = gns_oracle.coords(alg, alg.mul(x, y))
     assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -141,8 +141,8 @@ def test_ideal_elements_are_orthonormal():
     rng = np.random.default_rng(64)
     state = random_rank_state(_mixed(), rng, (1, 1, 1))
     ideal = gns.gns_null_ideal(state)
-    coords = np.column_stack([state.algebra.coords(x) for x in ideal])
-    gram = coords.conj().T @ coords
+    columns = np.column_stack([gns_oracle.coords(state.algebra, x) for x in ideal])
+    gram = columns.conj().T @ columns
     assert np.linalg.norm(gram - np.eye(len(ideal))) < 1e-10
 
 
@@ -167,8 +167,8 @@ def test_ideal_depends_only_on_the_support():
     ideal_a = gns.gns_null_ideal(state)
     ideal_b = gns.gns_null_ideal(boosted)
     assert len(ideal_a) == len(ideal_b)
-    span_a = np.column_stack([alg.coords(x) for x in ideal_a])
-    span_b = np.column_stack([alg.coords(x) for x in ideal_b])
+    span_a = np.column_stack([gns_oracle.coords(alg, x) for x in ideal_a])
+    span_b = np.column_stack([gns_oracle.coords(alg, x) for x in ideal_b])
     angles = scipy.linalg.subspace_angles(span_a, span_b)
     assert float(np.max(angles)) < 1e-10
 

@@ -23,7 +23,7 @@ def rank_states(draw):
 
 
 def _span(alg, ideal):
-    return np.column_stack([alg.coords(x) for x in ideal])
+    return np.column_stack([oracle.coords(alg, x) for x in ideal])
 
 
 @settings(max_examples=40, deadline=None)
