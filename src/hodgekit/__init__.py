@@ -74,7 +74,6 @@ from .dynamics import (
     star_power,
 )
 from .states import (
-    TorusForm,
     TorusSurfaceClass,
     homology_pairing,
     is_anti_self_dual,

@@ -157,7 +157,8 @@ def exemplar(name: str, *params: float) -> ManifoldModel:
     if name == "s4":
         (radius,) = _positive_params("s4", params, 1, 2)
         k = 1.0 / radius**2
-        op = CurvatureOperator(scal=12.0 * k, weyl_plus=np.zeros((3, 3)),
+        scal = _in_range("s4", radius, 12.0 * k)
+        op = CurvatureOperator(scal=scal, weyl_plus=np.zeros((3, 3)),
                                weyl_minus=np.zeros((3, 3)), ric0=np.zeros((3, 3)))
         return ManifoldModel("s4", params, op, True, 3.0 * k)
     if name == "t4_flat":
@@ -171,14 +172,17 @@ def exemplar(name: str, *params: float) -> ManifoldModel:
         k1, k2 = 1.0 / r1**2, 1.0 / r2**2
         # Coordinate-basis operator: only the two sphere planes curve.
         r_std = np.diag([k1, 0.0, 0.0, 0.0, 0.0, k2])
-        r_split = BASIS_CHANGE @ r_std @ BASIS_CHANGE.T
+        with np.errstate(over="ignore"):  # an overflow shows in Scal, checked here
+            r_split = BASIS_CHANGE @ r_std @ BASIS_CHANGE.T
+            _in_range("s2xs2", min(r1, r2), 2.0 * float(np.trace(r_split)))
         op = decompose_curvature(r_split)
         einstein = r1 == r2
         return ManifoldModel("s2xs2", params, op, einstein, k1 if einstein else None)
     if name == "cp2":
         (lam,) = _positive_params("cp2", params, 1, 1)
+        scal = _in_range("cp2", lam, 24.0 / lam)
         wp = np.diag([4.0, -2.0, -2.0]) / lam
-        op = CurvatureOperator(scal=24.0 / lam, weyl_plus=wp,
+        op = CurvatureOperator(scal=scal, weyl_plus=wp,
                                weyl_minus=np.zeros((3, 3)), ric0=np.zeros((3, 3)))
         return ManifoldModel("cp2", params, op, True, 6.0 / lam)
     raise ValueError(f"unknown exemplar {name!r}; choose s4, t4_flat, s2xs2 or cp2")
@@ -196,9 +200,16 @@ def _positive_params(name, params, count, power):
             k = 1.0 / v**power
         except (ZeroDivisionError, OverflowError):
             k = 0.0
-        if not 0.0 < k < np.inf:
-            raise ValueError(f"{name} parameter {v!r} has no finite nonzero curvature")
+        _in_range(name, v, k)
     return vals
+
+
+def _in_range(name, param, value):
+    """value if it is a finite positive double, else reject the parameter.  An
+    exemplar checks its Scal too: no Weyl or operator entry is larger."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} parameter {param!r} has no finite nonzero curvature")
+    return value
 
 
 def tau_operator(samples) -> float:

@@ -131,7 +131,11 @@ class PerturbedGenerator:
     base: HodgeGenerator
     epsilon: float
     sign: int
-    log_u: np.ndarray
+
+    @property
+    def power(self) -> int:
+        """The central part of log U aside, log *' = power * log star."""
+        return 1 if self.sign == 1 else 2
 
 
 def perturbed_star(gen: HodgeGenerator, epsilon: float, sign: int = 1) -> PerturbedGenerator:
@@ -146,10 +150,7 @@ def perturbed_star(gen: HodgeGenerator, epsilon: float, sign: int = 1) -> Pertur
         raise ValueError(f"perturbation requires |epsilon| < 1/2, got {epsilon!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    log_u = 1j * np.pi * eps * np.eye(gen.dim, dtype=np.complex128)
-    if sign == -1:
-        log_u = log_u + gen.log_star
-    return PerturbedGenerator(base=gen, epsilon=eps, sign=int(sign), log_u=log_u)
+    return PerturbedGenerator(base=gen, epsilon=eps, sign=int(sign))
 
 
 def perturbed_power(pgen: PerturbedGenerator, t: float) -> np.ndarray:
@@ -159,15 +160,12 @@ def perturbed_power(pgen: PerturbedGenerator, t: float) -> np.ndarray:
     the sign -1 branch, so the flow is a phase times star^t or star^{2t}.
     """
     t = float(t)
-    power = 1.0 if pgen.sign == 1 else 2.0
-    return np.exp(1j * np.pi * pgen.epsilon * t) * star_power(pgen.base, power * t)
+    return np.exp(1j * np.pi * pgen.epsilon * t) * star_power(pgen.base, pgen.power * t)
 
 
 def perturbed_evolve(pgen: PerturbedGenerator, a, t: float) -> np.ndarray:
-    """Conjugation by the perturbed flow; the central phase of U cancels."""
-    m = _operator_of_dim(a, pgen.base.dim)
-    w = perturbed_power(pgen, t)
-    return w @ m @ adjoint(w)
+    """Conjugation by the perturbed flow: the phase of U cancels, leaving star^(power t)."""
+    return evolve(pgen.base, a, pgen.power * float(t))
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,10 @@ class Refinement:
     dim: int
 
 
-def make_refinement(star, tol: float = INPUT_TOL) -> Refinement:
+def make_refinement(star) -> Refinement:
     """Validate a candidate star.
 
-    Every gate has scale 1, which the definition of an involution fixes.
+    Every gate is INPUT_TOL at scale 1, which the definition of an involution fixes.
 
     Raises
     ------
@@ -55,14 +55,14 @@ def make_refinement(star, tol: float = INPUT_TOL) -> Refinement:
     s = as_operator(star)
     d = s.shape[0]
     eye = np.eye(d)
-    if within(frobenius(s - eye), 1.0, tol):
+    if within(frobenius(s - eye), 1.0, INPUT_TOL):
         raise ValueError("refinement star must differ from the identity")
-    if not within(frobenius(s - adjoint(s)), 1.0, tol):
+    if not within(frobenius(s - adjoint(s)), 1.0, INPUT_TOL):
         raise ValueError("refinement star must be self-adjoint")
-    if not within(frobenius(s @ s - eye), 1.0, tol):
+    if not within(frobenius(s @ s - eye), 1.0, INPUT_TOL):
         raise ValueError("refinement star must square to the identity")
     tr = normalized_trace(s)
-    if not within(abs(tr), 1.0, tol):
+    if not within(abs(tr), 1.0, INPUT_TOL):
         raise ValueError(
             f"refinement star must have zero normalized trace, got {tr:.3e}"
         )

@@ -22,7 +22,7 @@ faithful phi; in the II_1 setting the survivor is a proper corner and
 the bound is strict, a boundary effect this finite model keeps visible.
 
 So one eigh per density block gives everything.  An eigenvalue counts
-as zero when it is at most tol, relative to the unit mass of the state:
+as zero when it is at most DEFAULT_TOL, relative to the unit mass of the state:
 the cutoff on the Gram matrix phi(E_a* E_b) = I_k (x) D_i^T that the
 brute-force reference in tests/gns_oracle.py diagonalizes.
 """
@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, INPUT_TOL, frobenius, within
+from .linalg import INPUT_TOL, frobenius, random_matrix, within
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,8 @@ class FiniteAlgebra:
     def adj(self, x) -> tuple:
         return tuple(a.conj().T for a in x)
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> tuple:
-        return tuple(
-            (scale / np.sqrt(2.0)) * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-            for k in self.dims
-        )
+    def random_element(self, rng: np.random.Generator) -> tuple:
+        return tuple(random_matrix(rng, k) for k in self.dims)
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class AlgebraState:
         return sum(complex(np.trace(d @ b)) for d, b in zip(self.densities, x))
 
 
-def make_state(algebra: FiniteAlgebra, densities, tol: float = INPUT_TOL) -> AlgebraState:
+def make_state(algebra: FiniteAlgebra, densities) -> AlgebraState:
     """Validate density blocks and normalize the total mass to one.
 
     The gates are relative to the largest block norm s, so the verdict
@@ -119,29 +116,29 @@ def make_state(algebra: FiniteAlgebra, densities, tol: float = INPUT_TOL) -> Alg
     Raises
     ------
     ValueError
-        If a block is not Hermitian positive semidefinite within tol * s,
-        or the total trace is at most tol * s (in particular when s = 0).
+        If a block is not Hermitian positive semidefinite within INPUT_TOL * s,
+        or the total trace is at most INPUT_TOL * s (in particular when s = 0).
     """
     blocks = algebra.element(densities)
     scale = max(frobenius(d) for d in blocks)
     for d in blocks:
-        if not within(frobenius(d - d.conj().T), scale, tol):
+        if not within(frobenius(d - d.conj().T), scale, INPUT_TOL):
             raise ValueError("density blocks must be Hermitian")
-        if not within(-float(np.linalg.eigvalsh(d).min()), scale, tol):
+        if not within(-float(np.linalg.eigvalsh(d).min()), scale, INPUT_TOL):
             raise ValueError("density blocks must be positive semidefinite")
     total = sum(float(np.trace(d).real) for d in blocks)
-    if within(total, scale, tol):
+    if within(total, scale, INPUT_TOL):
         raise ValueError("state must have positive total mass")
     return AlgebraState(algebra=algebra, densities=tuple(d / total for d in blocks))
 
 
-def _kernels(state: AlgebraState, tol: float) -> list:
+def _kernels(state: AlgebraState) -> list:
     """Orthonormal kernel vectors of each density block, as columns."""
     spectra = [np.linalg.eigh(d) for d in state.densities]
-    return [vecs[:, within(vals, 1.0, tol)] for vals, vecs in spectra]
+    return [vecs[:, within(vals, 1.0)] for vals, vecs in spectra]
 
 
-def gns_null_ideal(state: AlgebraState, tol: float = DEFAULT_TOL) -> list:
+def gns_null_ideal(state: AlgebraState) -> list:
     """Orthonormal (GNS) basis of the left ideal { A : phi(A* A) = 0 }.
 
     Block i contributes sqrt(k_i / lambda_i) e_a v* for each row a and
@@ -149,7 +146,7 @@ def gns_null_ideal(state: AlgebraState, tol: float = DEFAULT_TOL) -> list:
     """
     alg = state.algebra
     out = []
-    for idx, ((k, w), kernel) in enumerate(zip(alg.summands, _kernels(state, tol))):
+    for idx, ((k, w), kernel) in enumerate(zip(alg.summands, _kernels(state))):
         for v in kernel.T:
             for a in range(k):
                 blocks = alg.zero()
@@ -180,7 +177,6 @@ class GnsRepresentation:
     """
 
     state: AlgebraState
-    tol: float
     ideal_dim: int
     j_dim: int
     per_summand_ranks: tuple
@@ -191,7 +187,7 @@ class GnsRepresentation:
     @cached_property
     def ideal(self) -> tuple:
         """GNS basis of the null ideal, built on first access."""
-        return tuple(gns_null_ideal(self.state, tol=self.tol))
+        return tuple(gns_null_ideal(self.state))
 
     @property
     def perp_dim(self) -> int:
@@ -215,19 +211,18 @@ class GnsRepresentation:
                                  [k * k for k in alg.dims]))
 
 
-def gns_representation(state: AlgebraState, tol: float = DEFAULT_TOL) -> GnsRepresentation:
+def gns_representation(state: AlgebraState) -> GnsRepresentation:
     """Build the induced representation and its coupling weight gamma.
 
     A block survives in J-perp exactly when its density is faithful;
     gamma sums lambda_i rank_i / k_i^2 over the per-summand ranks.
     """
     alg = state.algebra
-    nullity = [kernel.shape[1] for kernel in _kernels(state, tol)]
+    nullity = [kernel.shape[1] for kernel in _kernels(state)]
     ranks = tuple(0 if n else k * k for k, n in zip(alg.dims, nullity))
     dead = alg.total_dim - sum(ranks)
     return GnsRepresentation(
         state=state,
-        tol=tol,
         ideal_dim=sum(k * n for k, n in zip(alg.dims, nullity)),
         j_dim=dead,
         per_summand_ranks=ranks,

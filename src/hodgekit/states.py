@@ -54,23 +54,6 @@ class TorusSurfaceClass:
         return np.array(self.coefficients, dtype=float)
 
 
-@dataclass(frozen=True)
-class TorusForm:
-    """Complex coefficients of a translation-invariant 2-form."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coefficients, dtype=np.complex128)
-        if v.shape != (6,):
-            raise ValueError(f"2-form needs 6 coefficients, got shape {v.shape}")
-        object.__setattr__(self, "coefficients", v)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.coefficients
-
-
 def _sigma_vector(sigma) -> np.ndarray:
     if isinstance(sigma, TorusSurfaceClass):
         return sigma.vector
@@ -78,25 +61,26 @@ def _sigma_vector(sigma) -> np.ndarray:
 
 
 def _form_vector(omega) -> np.ndarray:
-    if isinstance(omega, TorusForm):
-        return omega.vector
-    return TorusForm(np.asarray(omega)).vector
+    v = np.asarray(omega, dtype=np.complex128)
+    if v.shape != (6,):
+        raise ValueError(f"2-form needs 6 coefficients, got shape {v.shape}")
+    return v
 
 
-def _in_eigenspace(v, sign: int, tol: float) -> bool:
-    """||star v - sign v|| <= tol ||v||."""
+def _in_eigenspace(v, sign: int) -> bool:
+    """||star v - sign v|| <= INPUT_TOL ||v||."""
     vec = np.asarray(v, dtype=np.complex128)
-    return bool(within(frobenius(STANDARD_STAR @ vec - sign * vec), frobenius(vec), tol))
+    return bool(within(frobenius(STANDARD_STAR @ vec - sign * vec), frobenius(vec), INPUT_TOL))
 
 
-def is_self_dual(v, tol: float = INPUT_TOL) -> bool:
-    """Whether the star fixes the coefficient vector: ||star v - v|| <= tol ||v||."""
-    return _in_eigenspace(v, 1, tol)
+def is_self_dual(v) -> bool:
+    """Whether the star fixes the coefficient vector: ||star v - v|| <= INPUT_TOL ||v||."""
+    return _in_eigenspace(v, 1)
 
 
-def is_anti_self_dual(v, tol: float = INPUT_TOL) -> bool:
-    """Whether the star negates the coefficient vector: ||star v + v|| <= tol ||v||."""
-    return _in_eigenspace(v, -1, tol)
+def is_anti_self_dual(v) -> bool:
+    """Whether the star negates the coefficient vector: ||star v + v|| <= INPUT_TOL ||v||."""
+    return _in_eigenspace(v, -1)
 
 
 def surface_integral(sigma, omega) -> complex:
@@ -150,10 +134,11 @@ def stationarity_derivative(sigma, omega, gen: HodgeGenerator, a,
 def perturbed_stationarity(sigma, omega, pgen: PerturbedGenerator, a,
                            times=DERIVATIVE_TIMES) -> float:
     """Same exact derivative along the perturbed flow (*')^t = star^t U^t,
-    whose generator is G = log star + log U."""
+    whose generator is G = log star + log U.  The central part of log U
+    commutes with A, so [G, A] = power [log star, A]."""
     if pgen.base.dim != 6:
         raise ValueError("stationarity probe needs a 6-dimensional flow")
-    rate = _commutator(pgen.base.log_star + pgen.log_u, as_operator(a))
+    rate = pgen.power * _commutator(pgen.base.log_star, as_operator(a))
     return max((abs(state_functional(sigma, omega, perturbed_evolve(pgen, rate, t)))
                 for t in times), default=0.0)
 
@@ -167,12 +152,10 @@ def homology_pairing(sigma, omega) -> complex:
     return surface_integral(sigma, omega) / TWO_PI_I
 
 
-def pairing_is_degenerate(sigma, omega, tol: float = 0.0) -> bool:
-    """True when the integral of omega over Sigma is within tol ||Sigma|| ||omega||
-    of zero (its Cauchy-Schwarz bound).
+def pairing_is_degenerate(sigma, omega) -> bool:
+    """True when the integral of omega over Sigma is exactly zero.
 
     This is the branch on which the induced null ideal swallows the
     whole algebra and the coupling drops to zero.
     """
-    scale = frobenius(_sigma_vector(sigma)) * frobenius(_form_vector(omega))
-    return bool(within(abs(surface_integral(sigma, omega)), scale, tol))
+    return surface_integral(sigma, omega) == 0

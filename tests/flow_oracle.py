@@ -34,9 +34,15 @@ def star_prime(pgen):
     return s @ (z * (0.5 * (eye + s) + pgen.sign * 0.5 * (eye - s)))
 
 
+def log_u(pgen):
+    """log U = i pi eps 1, plus log star on the sign -1 branch."""
+    out = 1j * np.pi * pgen.epsilon * np.eye(pgen.base.dim)
+    return out + pgen.base.log_star if pgen.sign == -1 else out
+
+
 def perturbed_power(pgen, t):
     """(*')^t = star^t exp(t log U)."""
-    return star_power(pgen.base, t) @ expm_schur(float(t) * pgen.log_u)
+    return star_power(pgen.base, t) @ expm_schur(float(t) * log_u(pgen))
 
 
 def flowed_functional(sigma, omega, power, a, t):

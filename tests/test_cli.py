@@ -334,13 +334,35 @@ def test_floats_are_printed_with_17_digits():
     (("dynamics", "--manifold", "s2xs2", "--params", "1,1e160"), "1e+160"),
     (("manifold", "s4", "--params", "1e-160"), "1e-160"),
     (("manifold", "cp2", "--params", "1e-310"), "1e-310"),
+    # 1/r^2 or 1/lam is finite, but Scal overflows.
+    (("manifold", "s4", "--params", "1e-154"), "1e-154"),
+    (("manifold", "s2xs2", "--params", "1e-154,1e-154"), "1e-154"),
+    (("manifold", "s2xs2", "--params", "1e-154,2e-154"), "1e-154"),
+    (("manifold", "cp2", "--params", "1e-308"), "1e-308"),
 ])
 def test_curvature_outside_the_doubles_exits_two(argv, param):
-    # 1/r^2 or 1/lam overflows or underflows; the operator is never built.
+    # 1/r^2, 1/lam or Scal overflows or underflows; the operator is never built.
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert f"parameter {param} has no finite nonzero curvature" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # ||R||_F underflowed to 0, so the relative rule demanded exact zeros.
+    ("manifold", "s4", "--params", "1e81"),
+    ("dynamics", "--manifold", "s2xs2", "--params", "1e81,2e81"),
+    ("manifold", "cp2", "--params", "1e163"),
+    # ||R||_F overflowed: an inf residual in the envelope, or numpy warnings.
+    ("manifold", "s4", "--params", "1e-85"),
+    ("manifold", "s4", "--params", "1e-84"),
+    ("manifold", "cp2", "--params", "1e-169"),
+])
+def test_verdicts_hold_where_the_squared_norm_leaves_the_doubles(argv):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert parse_envelope(proc)["pass"] is True
 
 
 def test_check_is_a_constant_of_the_envelope(tmp_path):

@@ -267,6 +267,11 @@ def test_exemplar_validation():
     ("s2xs2", (1e-170, 1.0)),
     ("s2xs2", (1.0, 1e160)),  # r**2 overflows: OverflowError
     ("cp2", (1e-310,)),       # 1 / lam overflows to inf
+    # The curvature is finite but Scal, the largest number built, is not.
+    ("s4", (1e-154,)),        # Scal = 12 / r**2
+    ("s2xs2", (1e-154, 1e-154)),  # Scal = 2 (1 / r1**2 + 1 / r2**2)
+    ("s2xs2", (1e-154, 2e-154)),
+    ("cp2", (1e-308,)),       # Scal = 24 / lam
 ])
 def test_exemplar_rejects_curvature_outside_the_doubles(name, params):
     with pytest.raises(ValueError, match="no finite nonzero curvature"):
@@ -274,7 +279,8 @@ def test_exemplar_rejects_curvature_outside_the_doubles(name, params):
 
 
 @pytest.mark.parametrize("name, params", [
-    ("s4", (1e154,)), ("s4", (1e-154,)), ("s2xs2", (1.0, 1e154)), ("cp2", (1e-169,)),
+    ("s4", (1e154,)), ("s4", (3e-154,)), ("s2xs2", (1.0, 1e154)), ("cp2", (1e-169,)),
+    ("s2xs2", (1.5e-154, 1.0)), ("cp2", (1.4e-307,)),
 ])
 def test_exemplar_accepts_curvature_near_the_double_range(name, params):
     assert cv.exemplar(name, *params).name == name

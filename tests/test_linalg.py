@@ -162,3 +162,14 @@ def test_vector_json_rejections(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             linalg.load_vector(path)
+
+
+def test_frobenius_is_safe_over_the_double_range():
+    # Six entries of 1e-162: every square underflows to zero.
+    assert linalg.frobenius(np.full(6, 1e-162)) == pytest.approx(np.sqrt(6.0) * 1e-162, rel=1e-15)
+    assert linalg.frobenius(np.full((2, 3), 1e200 + 1e200j)) == pytest.approx(
+        np.sqrt(12.0) * 1e200, rel=1e-15)
+    assert linalg.frobenius([5e-324]) == 5e-324
+    assert linalg.frobenius([1.7e308, 1.7e308]) == np.inf
+    assert linalg.frobenius(np.zeros((3, 3))) == 0.0
+

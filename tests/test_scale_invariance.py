@@ -10,6 +10,7 @@ A Ric0 B^T), and the whole operator is then scaled by 10^k.
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -97,3 +98,28 @@ def test_cli_verdicts_do_not_depend_on_the_radius(exemplar, log_radius):
     unit_text = ",".join(repr(p) for p in params(1.0))
     for argv in (["manifold", name, "--params"], ["dynamics", "--manifold", name, "--params"]):
         assert _verdict(argv + [text]) == _verdict(argv + [unit_text])
+
+
+def test_manifold_verdicts_at_every_power_of_ten():
+    # Every power of ten from 1e-170 to 1e170, on the four exemplars: a
+    # passing envelope, or exit 2 naming the parameter.  Never a failed
+    # verdict, a traceback or a floating-point warning.
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(-170, 171):
+            r = 10.0 ** e
+            for name, params in EXEMPLARS:
+                text = ",".join(repr(p) for p in params(r))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(["manifold", name, "--params", text])
+                if rc == 0:
+                    assert json.loads(out.getvalue())["pass"] is True, text
+                else:
+                    assert rc == 2, (name, text)
+                    assert any(f"parameter {p!r} has no finite nonzero curvature" in err.getvalue()
+                               for p in params(r)), (name, text)
+                outcomes.append(rc)
+    assert len(outcomes) == 1364
+    assert outcomes.count(0) == 1264

@@ -27,8 +27,8 @@ def test_surface_class_validation():
 
 
 def test_form_validation():
-    with pytest.raises(ValueError):
-        st.TorusForm(np.zeros(5))
+    with pytest.raises(ValueError, match="2-form needs 6 coefficients"):
+        st.surface_integral((1, 0, 0, 0, 0, 0), np.zeros(5))
 
 
 def test_poincare_dual_examples():

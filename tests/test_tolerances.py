@@ -81,3 +81,19 @@ def test_within_is_relative_and_exact_at_zero():
     assert linalg.within(0.5, 1.0, tol=0.5)
     np.testing.assert_array_equal(linalg.within(np.array([0.0, 1e-10, 1e-9]), 1.0),
                                   [True, True, False])
+
+
+def _takes_tol(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "tol" in {a.arg for a in node.args.posonlyargs + node.args.args
+                          + node.args.kwonlyargs}}
+
+
+def test_only_the_cli_tolerance_path_takes_a_tol():
+    # The CLI's --tol reaches the identity gates through these four; every
+    # other gate uses the constant that linalg fixes for it.
+    found = set().union(*map(_takes_tol, SOURCES))
+    assert found == {"linalg.within", "dynamics.is_fixed_point",
+                     "einstein.check_einstein_vacuum", "cli._einstein_probe"}
