@@ -44,10 +44,9 @@ FIXED_POINT_TIMES = (0.1, 0.25, 0.5, 1.0, 1.7)
 
 @dataclass(frozen=True)
 class HodgeGenerator:
-    """A refinement together with the skew generator of its flow."""
+    """The flow star^t = exp(t log star) of a refinement's star."""
 
     refinement: Refinement
-    log_star: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -55,10 +54,8 @@ class HodgeGenerator:
 
 
 def hodge_generator(refinement: Refinement) -> HodgeGenerator:
-    """log star = i pi (1 - star)/2, the principal logarithm of the star."""
-    s = refinement.star
-    log_star = 1j * np.pi * 0.5 * (np.eye(refinement.dim) - s)
-    return HodgeGenerator(refinement=refinement, log_star=log_star)
+    """The flow of the refinement's star; log star = i pi (1 - star)/2."""
+    return HodgeGenerator(refinement=refinement)
 
 
 def star_power(gen: HodgeGenerator, t: float) -> np.ndarray:
@@ -108,7 +105,7 @@ def is_fixed_point(gen: HodgeGenerator, a, tol: float = DEFAULT_TOL) -> FixedPoi
 
 def hamiltonian(gen: HodgeGenerator) -> np.ndarray:
     """H = (1/i) log star = pi P-; self-adjoint with spectrum {0, pi}."""
-    return (gen.log_star / 1j)
+    return np.pi * 0.5 * (np.eye(gen.dim) - gen.refinement.star)
 
 
 def energy(gen: HodgeGenerator, r) -> float:

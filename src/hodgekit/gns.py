@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import INPUT_TOL, frobenius, random_matrix, within
+from .linalg import INPUT_TOL, binary_scale, frobenius, random_matrix, within
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,9 @@ def make_state(algebra: FiniteAlgebra, densities) -> AlgebraState:
         or the total trace is at most INPUT_TOL * s (in particular when s = 0).
     """
     blocks = algebra.element(densities)
+    # Exact, and undone by the normalization; keeps subnormal input in range.
+    lo, hi = binary_scale(*blocks)
+    blocks = tuple(d / lo / hi for d in blocks)
     scale = max(frobenius(d) for d in blocks)
     for d in blocks:
         if not within(frobenius(d - d.conj().T), scale, INPUT_TOL):
@@ -157,14 +160,15 @@ def gns_null_ideal(state: AlgebraState) -> list:
 
 def left_ideal_residual(state: AlgebraState, ideal, rng: np.random.Generator,
                         samples: int = 5) -> float:
-    """Worst phi((X A)* (X A)) over random X and ideal basis elements A."""
-    alg = state.algebra
+    """Worst phi(B* B) / Tr(B* B) over B = X A, X random, A in the ideal basis: at most
+    the largest density eigenvalue (unit mass), whatever the weights; a null one on the ideal."""
     worst = 0.0
     for _ in range(samples):
-        x = alg.random_element(rng)
+        x = state.algebra.random_element(rng)
         for a in ideal:
-            xa = alg.mul(x, a)
-            worst = max(worst, abs(state.phi(alg.mul(alg.adj(xa), xa))))
+            bs = [xi @ ai for xi, ai in zip(x, a)]
+            num = sum(np.vdot(b, b @ d).real for b, d in zip(bs, state.densities))
+            worst = max(worst, abs(num) / sum(np.vdot(b, b).real for b in bs))
     return float(worst)
 
 

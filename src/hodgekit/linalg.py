@@ -66,22 +66,24 @@ def normalized_trace(a) -> complex:
     return complex(np.trace(m)) / m.shape[0]
 
 
-def frobenius(a) -> float:
-    """Frobenius norm, the default residual metric, over the whole double range.
+def binary_scale(*arrays) -> tuple:
+    """2^e at the largest modulus of the arrays, as two factors since 2^-e exceeds
+    the doubles for a subnormal maximum; dividing by both is exact (Blue, ACM TOMS 4, 1978)."""
+    e = int(np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1])
+    return 2.0 ** (e // 2), 2.0 ** (e - e // 2)
 
-    Where np.linalg.norm's sum of squares leaves the doubles, the entries are
-    first divided by 2^e, the power of two at their largest modulus (Blue, ACM
-    TOMS 4, 1978), which is exact.  2^e is applied as two factors, since 2^-e
-    exceeds the doubles for a subnormal maximum.
-    """
+
+def frobenius(a) -> float:
+    """Frobenius norm, the default residual metric, over the whole double range:
+    where np.linalg.norm's sum of squares leaves the doubles, the entries are
+    first divided by `binary_scale`."""
     m = np.asarray(a)
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(m))
     # Above 2^-460 the squares that underflow weigh less than 2^-150 relative.
     if 2.0 ** -460 < n < np.inf or not m.any():
         return n
-    e = int(np.frexp(np.abs(m).max(initial=0.0))[1])
-    lo, hi = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+    lo, hi = binary_scale(m)
     return float(np.linalg.norm(m / lo / hi)) * lo * hi
 
 

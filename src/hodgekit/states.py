@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import STANDARD_STAR
-from .dynamics import HodgeGenerator, PerturbedGenerator, evolve, perturbed_evolve
+from .dynamics import HodgeGenerator, PerturbedGenerator
+# Re-exported: perfbench/tracing.py wraps these names in this namespace too.
+from .dynamics import evolve, perturbed_evolve  # noqa: F401
 from .linalg import INPUT_TOL, as_operator, frobenius, within
 
 TWO_PI_I = 2j * np.pi
@@ -111,36 +113,33 @@ def state_functional(sigma, omega, a) -> complex:
     return complex(np.vdot(eta, m @ _form_vector(omega)))
 
 
-def _commutator(g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return g @ m - m @ g
-
-
 def stationarity_derivative(sigma, omega, gen: HodgeGenerator, a,
                             times=DERIVATIVE_TIMES) -> float:
     """Max |d/dt F(star^t A star^-t)| over the sample times.
 
-    The derivative is exact: d/dt F(W_t A W_t*) = F(W_t [G, A] W_t*)
-    for W_t = exp(t G), here with G = log star.  It vanishes up to
-    rounding when omega and the dual of sigma lie in the same star
-    eigenspace, for every A.
+    With star^t = P+ + e^{i pi t} P-, the derivative is exact and in
+    closed form, i pi (e^{i pi t} F(P- A P+) - e^{-i pi t} F(P+ A P-)).
+    Both terms are exactly zero when omega and the dual of sigma lie
+    exactly in the same star eigenspace, for every A.
     """
     if gen.dim != 6:
         raise ValueError("stationarity probe needs a 6-dimensional flow")
-    rate = _commutator(gen.log_star, as_operator(a))
-    return max((abs(state_functional(sigma, omega, evolve(gen, rate, t))) for t in times),
-               default=0.0)
+    m, star = as_operator(a), gen.refinement.star
+    eta, w = poincare_dual(sigma), _form_vector(omega)
+    # F(P- A P+) and F(P+ A P-), with P+- = (1 +- star)/2 moved onto the vectors.
+    rise = np.vdot(eta - star @ eta, m @ (w + star @ w)) / 4
+    fall = np.vdot(eta + star @ eta, m @ (w - star @ w)) / 4
+    z = np.exp(1j * np.pi * np.asarray(times, dtype=float))
+    return float(np.abs(1j * np.pi * (z * rise - z.conj() * fall)).max(initial=0.0))
 
 
 def perturbed_stationarity(sigma, omega, pgen: PerturbedGenerator, a,
                            times=DERIVATIVE_TIMES) -> float:
-    """Same exact derivative along the perturbed flow (*')^t = star^t U^t,
-    whose generator is G = log star + log U.  The central part of log U
-    commutes with A, so [G, A] = power [log star, A]."""
-    if pgen.base.dim != 6:
-        raise ValueError("stationarity probe needs a 6-dimensional flow")
-    rate = pgen.power * _commutator(pgen.base.log_star, as_operator(a))
-    return max((abs(state_functional(sigma, omega, perturbed_evolve(pgen, rate, t)))
-                for t in times), default=0.0)
+    """Same exact derivative along the perturbed flow (*')^t = star^t U^t.  The
+    phase of U cancels under conjugation, so the flow conjugates by star^(power t)
+    and its derivative is power times the base one at time power t."""
+    return pgen.power * stationarity_derivative(sigma, omega, pgen.base, a,
+                                                [pgen.power * t for t in times])
 
 
 def homology_pairing(sigma, omega) -> complex:

@@ -4,18 +4,20 @@
     python tests/envelope_grid.py --compare parent.json change.json
 
 The first form imports hodgekit from SRC_DIR and calls `cli.main` in
-process on 161 argvs:
+process on 197 argvs:
 
 - `constants`;
 - `manifold` and `dynamics` on s4, t4_flat, cp2 and s2xs2 at unit and
   extreme radii;
 - `clifford` at every signature with 1 <= r+s <= 9, plus 6,6 and 30,30;
 - `states` on the SD/ASD/mixed/zero grid of surface classes and forms,
-  at form scales 1, 150 and 1e-10;
+  at form scales 1, 150, 1e-10, 1e-300 and 1e300;
 - `solve-einstein` on three random inputs at scales 0.1, 1 and 100,
   under the split and the standard star, with and without --check-only;
 - `gns` on five trace-state algebras at seeds 0 and 5, plus four states
-  of random block rank.
+  of random block rank, two rank-deficient states whose null ideal sees a
+  large block (64:1) or a light one (weight 1e-5), and one state at
+  subnormal scales 1e-310 and 1e-320.
 
 Input files are written to a scratch directory under fixed relative
 names, so envelopes that echo a path compare equal across trees.  Each
@@ -79,7 +81,7 @@ def grid():
         argvs.append(["dynamics", "--manifold", name, *params])
     argvs += [["clifford", f"{r},{m - r}"] for m in range(1, 10) for r in range(m + 1)]
     argvs += [["clifford", "6,6"], ["clifford", "30,30"]]
-    for scale in (1.0, 150.0, 1e-10):
+    for scale in (1.0, 150.0, 1e-10, 1e-300, 1e300):
         for sigma in CLASSES.values():
             for o_cls, form in FORMS.items():
                 path = _write(f"omega_{o_cls}_{scale:g}.json",
@@ -102,6 +104,14 @@ def grid():
         blocks = [_density(rng, k, int(rng.integers(0, k + 1))) for k, _ in RANDOM_RANK_ALGEBRA]
         path = _write(f"state_{i}.json", {"densities": [_matrix(d) for d in blocks]})
         argvs.append(["gns", "--algebra", text, "--state", path])
+    v = np.random.default_rng(3).standard_normal((16, 15))
+    rank3 = _density(np.random.default_rng(4), 4, 3)
+    for name, alg, blocks in (("k64", "64:1", [np.diag([1.0] * 63 + [64e-12])]),
+                              ("light", "16:1e-5,16:0.99999", [v @ v.T, np.eye(16)]),
+                              *((f"subnormal_{scale!r}", "4:0.5,2:0.5",
+                                 [scale * rank3, scale * np.eye(2)]) for scale in (1e-310, 1e-320))):
+        path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
+        argvs.append(["gns", "--algebra", alg, "--state", path])
     return argvs
 
 

@@ -21,9 +21,14 @@ def expm_schur(a):
     return (z * np.exp(np.diag(t))) @ z.conj().T
 
 
+def log_star(gen):
+    """The principal logarithm i pi (1 - star)/2 of the star."""
+    return 1j * np.pi * 0.5 * (np.eye(gen.dim) - gen.refinement.star)
+
+
 def star_power(gen, t):
     """star^t = exp(t log star)."""
-    return expm_schur(float(t) * gen.log_star)
+    return expm_schur(float(t) * log_star(gen))
 
 
 def star_prime(pgen):
@@ -37,7 +42,7 @@ def star_prime(pgen):
 def log_u(pgen):
     """log U = i pi eps 1, plus log star on the sign -1 branch."""
     out = 1j * np.pi * pgen.epsilon * np.eye(pgen.base.dim)
-    return out + pgen.base.log_star if pgen.sign == -1 else out
+    return out + log_star(pgen.base) if pgen.sign == -1 else out
 
 
 def perturbed_power(pgen, t):

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: envelopes, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -190,6 +191,48 @@ def test_gns_answers_on_a_rank_deficient_32_block(tmp_path):
     assert results["gamma"] == 0.5
     assert results["ideal_dim"] == 32
     assert results["j_dim"] == 1024
+
+
+def _light_block_state():
+    v = np.random.default_rng(3).standard_normal((16, 15))
+    return [v @ v.T, np.eye(16)]
+
+
+@pytest.mark.parametrize("algebra, densities", [
+    # Null eigenvalue 1e-12 of unit mass, a hundredth of the rank cutoff,
+    # while phi(B* B) itself grew with k to 5.8e-9.
+    ("64:1", lambda: [np.diag([1.0] * 63 + [64e-12])]),
+    # Rank exactly 15 in a block of weight 1e-5: phi(B* B) grew with
+    # 1 / lambda to 3.0e-10 from rounding alone.
+    ("16:1e-5,16:0.99999", _light_block_state),
+], ids=["k64", "light-block"])
+def test_gns_ideal_verdict_does_not_depend_on_block_size_or_weight(tmp_path, algebra, densities):
+    path = tmp_path / "state.json"
+    _write_state(path, densities())
+    proc = run_cli("gns", "--algebra", algebra, "--state", str(path))
+    assert proc.returncode == 0, proc.stderr
+    payload = parse_envelope(proc)
+    assert payload["pass"] is True
+    assert payload["results"]["left_ideal_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-320])
+def test_gns_subnormal_densities(tmp_path, scale):
+    # Blocks are rescaled by a power of two before any eigensolver sees
+    # them: a clean pass, or exit 2 naming the densities, never LAPACK's
+    # words or numpy warnings.
+    path = tmp_path / "state.json"
+    rng = np.random.default_rng(4)
+    _write_state(path, [scale * density_block(rng, 4, 3), scale * np.eye(2)])
+    proc = run_cli("gns", "--algebra", "4:0.5,2:0.5", "--state", str(path))
+    if proc.returncode == 0:
+        assert proc.stderr == ""
+        payload = parse_envelope(proc)
+        assert payload["pass"] is True
+        assert (payload["results"]["gamma"], payload["results"]["ideal_dim"]) == (0.5, 4)
+    else:
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: density blocks [^\n]*\n", proc.stderr), proc.stderr
 
 
 def test_dynamics_fixed_point():

@@ -56,7 +56,7 @@ def test_expm_normal_matches_schur_oracle():
         cases.append(_random_normal(rng, dim, np.resize([0.5j, -1.0 + 2j], dim)))
         cases.append(rng.standard_normal() * np.eye(dim))
     for gen in _generators():
-        cases.extend(t * gen.log_star for t in TIMES)
+        cases.extend(t * oracle.log_star(gen) for t in TIMES)
     for a in cases:
         want = oracle.expm_schur(a)
         gap = linalg.frobenius(linalg.expm_normal(a) - want)

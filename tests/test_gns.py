@@ -12,8 +12,11 @@ field in test_gns_oracle.py.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from hodgekit import gns
+from hodgekit.linalg import DEFAULT_TOL
 
 import gns_oracle
 from gamma_oracle import brute_force_gamma, kernel_ideal, random_rank_state
@@ -135,6 +138,38 @@ def test_ideal_is_a_left_ideal():
     state = random_rank_state(_mixed(), rng, (1, 2, 0))
     ideal = gns.gns_null_ideal(state)
     assert gns.left_ideal_residual(state, ideal, rng, samples=8) < 1e-12
+
+
+@hs.composite
+def rank_deficient_states(draw):
+    """1-3 blocks of size 1-64 at weights 10^[-8, 0]; each density has up to
+    three null eigenvalues in [0, DEFAULT_TOL / 2] of the unit mass."""
+    sizes = draw(hs.lists(hs.integers(1, 64), min_size=1, max_size=3))
+    raw = [10.0 ** draw(hs.floats(-8.0, 0.0)) for _ in sizes]
+    alg = gns.FiniteAlgebra(tuple((k, w / sum(raw)) for k, w in zip(sizes, raw)))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    nullities = [draw(hs.integers(0, min(k, 3))) for k in sizes]
+    live = [rng.uniform(0.5, 1.5, k - n) for k, n in zip(sizes, nullities)]
+    mass = sum(v.sum() for v in live)
+    assume(mass > 0)
+    blocks = []
+    for k, n, vals in zip(sizes, nullities, live):
+        null = [draw(hs.floats(0.0, DEFAULT_TOL / 2)) * mass for _ in range(n)]
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        blocks.append((q * np.concatenate([null, vals])) @ q.conj().T)
+    return gns.make_state(alg, blocks), sum(k * n for k, n in zip(sizes, nullities))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient_states(), hs.integers(0, 2**32 - 1))
+def test_left_ideal_residual_does_not_depend_on_block_size_or_weight(drawn, seed):
+    # phi(B* B) / Tr(B* B) is at most the largest null eigenvalue on the
+    # ideal, however large k / lambda makes phi(B* B) itself.
+    state, ideal_dim = drawn
+    rep = gns.gns_representation(state)
+    assert rep.ideal_dim == ideal_dim
+    res = gns.left_ideal_residual(state, rep.ideal, np.random.default_rng(seed), samples=2)
+    assert res <= DEFAULT_TOL
 
 
 def test_ideal_elements_are_orthonormal():

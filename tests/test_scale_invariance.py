@@ -22,6 +22,8 @@ from hodgekit import dynamics as dyn
 from hodgekit import linalg
 from hodgekit.einstein import make_refinement
 
+from envelope_grid import CLASSES, FORMS
+
 GEN = dyn.hodge_generator(make_refinement(cv.SPLIT_STAR))
 
 unit = st.floats(-1.0, 1.0)
@@ -100,10 +102,11 @@ def test_cli_verdicts_do_not_depend_on_the_radius(exemplar, log_radius):
         assert _verdict(argv + [text]) == _verdict(argv + [unit_text])
 
 
-def test_manifold_verdicts_at_every_power_of_ten():
-    # Every power of ten from 1e-170 to 1e170, on the four exemplars: a
-    # passing envelope, or exit 2 naming the parameter.  Never a failed
-    # verdict, a traceback or a floating-point warning.
+def _power_of_ten_scan(argv):
+    """Exit codes of argv + [name, --params] at every power of ten from
+    1e-170 to 1e170, on the four exemplars: a passing envelope, or exit 2
+    naming the parameter.  Never a failed verdict, a traceback or a
+    floating-point warning."""
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -113,7 +116,7 @@ def test_manifold_verdicts_at_every_power_of_ten():
                 text = ",".join(repr(p) for p in params(r))
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = cli.main(["manifold", name, "--params", text])
+                    rc = cli.main([*argv, name, "--params", text])
                 if rc == 0:
                     assert json.loads(out.getvalue())["pass"] is True, text
                 else:
@@ -121,5 +124,41 @@ def test_manifold_verdicts_at_every_power_of_ten():
                     assert any(f"parameter {p!r} has no finite nonzero curvature" in err.getvalue()
                                for p in params(r)), (name, text)
                 outcomes.append(rc)
+    return outcomes
+
+
+def test_manifold_verdicts_at_every_power_of_ten():
+    outcomes = _power_of_ten_scan(["manifold"])
     assert len(outcomes) == 1364
     assert outcomes.count(0) == 1264
+
+
+def test_dynamics_verdicts_at_every_power_of_ten():
+    outcomes = _power_of_ten_scan(["dynamics", "--manifold"])
+    assert len(outcomes) == 1364
+    assert outcomes.count(0) == 1264
+
+
+def test_states_verdicts_across_the_double_range(tmp_path):
+    # The SD/ASD/mixed/zero grid of surface classes and forms, with the form
+    # scaled by 10^k for k = -300, -290, ..., 300: stationary exactly when
+    # both are in one eigenspace or one is zero, with a clean stderr.
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(-300, 301, 10):
+            for o_cls, form in FORMS.items():
+                path = tmp_path / f"omega_{o_cls}_{e}.json"
+                linalg.save_vector(path, 10.0 ** e * np.array(form))
+                for s_cls, sigma in CLASSES.items():
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        rc = cli.main(["states", "--sigma", ",".join(map(str, sigma)),
+                                       "--omega", str(path)])
+                    payload = json.loads(out.getvalue())
+                    res = payload["results"]
+                    assert (rc, payload["pass"], err.getvalue()) == (0, True, ""), (s_cls, o_cls, e)
+                    assert res["stationary"] == res["expected_stationary"] == (
+                        "zero" in (s_cls, o_cls) or s_cls == o_cls != "mixed"), (s_cls, o_cls, e)
+                    seen += 1
+    assert seen == 976

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from hodgekit import curvature as cv
 from hodgekit import dynamics as dyn
@@ -150,6 +152,31 @@ def test_perturbed_stationarity_fails_for_anti_self_dual_form(gen):
         for sign in (1, -1):
             pg = dyn.perturbed_star(gen, eps, sign)
             assert st.perturbed_stationarity(sigma, omega, pg, mixer) > 1e-3
+
+
+def _complex_vectors(size, scale):
+    return hs.lists(hs.complex_numbers(max_magnitude=1.0), min_size=size,
+                    max_size=size).map(lambda v: scale * np.array(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.tuples(*[hs.integers(-3, 3)] * 6), hs.floats(-6.0, 6.0), hs.floats(-6.0, 6.0),
+       hs.data(), hs.floats(-3.0, 3.0), hs.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+       hs.sampled_from((1, -1)))
+def test_perturbed_probe_is_power_times_the_base_probe(sigma, log_omega, log_a, data, t, eps,
+                                                       sign):
+    # The perturbed flow conjugates by star^(power t) whatever epsilon is,
+    # so the CLI's one sign -1 family covers every (epsilon, sign) pair.
+    gen = dyn.hodge_generator(make_refinement(cv.STANDARD_STAR))
+    omega = data.draw(_complex_vectors(6, 10.0 ** log_omega))
+    a = data.draw(_complex_vectors(36, 10.0 ** log_a)).reshape(6, 6)
+    pert = st.perturbed_stationarity(sigma, omega, dyn.perturbed_star(gen, eps, sign), a, (t,))
+    assert pert == st.perturbed_stationarity(sigma, omega, dyn.perturbed_star(gen, 0.0, sign),
+                                             a, (t,))
+    if sign == 1:
+        assert pert == st.stationarity_derivative(sigma, omega, gen, a, (t,))
+    else:
+        assert pert == 2 * st.stationarity_derivative(sigma, omega, gen, a, (2 * t,))
 
 
 def test_homology_pairing_examples():
