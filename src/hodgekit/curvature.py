@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, INPUT_TOL, frobenius, within
+from .linalg import DEFAULT_TOL, INPUT_TOL, StarProduct, frobenius, within
 
 # Star on the coordinate basis: *e12 = e34, *e13 = -e24, *e14 = e23,
 # and symmetrically back.  Column j holds the coefficients of *e_j.
@@ -235,15 +235,21 @@ def tau_operator(samples) -> float:
     return acc / 6.0
 
 
+def _operator_and_star(r, star):
+    """R as an array and star as a StarProduct (None is the split star), of one square shape."""
+    m = np.asarray(r)
+    s = star if isinstance(star, StarProduct) else StarProduct(SPLIT_STAR if star is None else star)
+    if m.shape != s.matrix.shape or m.shape[0] != m.shape[1]:
+        raise ValueError(f"operator and star shapes differ: {m.shape} vs {s.matrix.shape}")
+    return m, s
+
+
 def bianchi_residual(r, star=None) -> float:
     """|tau(R . star)|; zero for every operator assembled from block data
     with equal diagonal-block traces, which is the algebraic first
-    Bianchi identity in this picture."""
-    m = np.asarray(r)
-    s = SPLIT_STAR if star is None else np.asarray(star)
-    if m.shape != s.shape or m.shape[0] != m.shape[1]:
-        raise ValueError(f"operator and star shapes differ: {m.shape} vs {s.shape}")
-    return float(abs(np.trace(m @ s)) / m.shape[0])
+    Bianchi identity in this picture.  star is a matrix or a StarProduct."""
+    m, s = _operator_and_star(r, star)
+    return float(abs(s.trace(m)) / m.shape[0])
 
 
 def ric0_norm(r) -> float:
@@ -252,7 +258,7 @@ def ric0_norm(r) -> float:
 
 
 def star_commutator_norm(r, star=None) -> float:
-    """||star R - R star||, the commutation form of the Einstein test."""
-    m = np.asarray(r)
-    s = SPLIT_STAR if star is None else np.asarray(star)
-    return frobenius(s @ m - m @ s)
+    """||star R - R star||, the commutation form of the Einstein test;
+    star is a matrix or a StarProduct."""
+    m, s = _operator_and_star(r, star)
+    return frobenius(s.left(m) - s.right(m))

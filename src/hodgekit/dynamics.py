@@ -98,7 +98,7 @@ def is_fixed_point(gen: HodgeGenerator, a, tol: float = DEFAULT_TOL) -> FixedPoi
     """
     m = as_operator(a)
     flow = max(frobenius(evolve(gen, m, t) - m) for t in FIXED_POINT_TIMES)
-    comm = star_commutator_norm(m, gen.refinement.star)
+    comm = star_commutator_norm(m, gen.refinement.product)
     return FixedPointReport(fixed=bool(within(comm, frobenius(m), tol)),
                             flow_residual=float(flow), commutator_norm=float(comm))
 

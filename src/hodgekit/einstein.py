@@ -23,21 +23,26 @@ keeps the real trace: tau(Q) = Re tau(B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curvature import bianchi_residual, star_commutator_norm
-from .linalg import (DEFAULT_TOL, INPUT_TOL, adjoint, as_operator, frobenius,
+from .linalg import (DEFAULT_TOL, INPUT_TOL, StarProduct, adjoint, as_operator, frobenius,
                      normalized_trace, within)
 
 
 @dataclass(frozen=True)
 class Refinement:
-    """A validated (algebra, star) pair at matrix dimension dim."""
+    """A validated (algebra, star) pair at matrix dimension dim; `product`
+    multiplies by the star, in O(d^2) when it is a signed permutation."""
 
     star: np.ndarray
     dim: int
+    product: StarProduct = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "product", StarProduct(self.star))
 
 
 def make_refinement(star) -> Refinement:
@@ -54,19 +59,20 @@ def make_refinement(star) -> Refinement:
     """
     s = as_operator(star)
     d = s.shape[0]
+    ref = Refinement(star=s, dim=d)
     eye = np.eye(d)
     if within(frobenius(s - eye), 1.0, INPUT_TOL):
         raise ValueError("refinement star must differ from the identity")
     if not within(frobenius(s - adjoint(s)), 1.0, INPUT_TOL):
         raise ValueError("refinement star must be self-adjoint")
-    if not within(frobenius(s @ s - eye), 1.0, INPUT_TOL):
+    if not within(frobenius(ref.product.left(s) - eye), 1.0, INPUT_TOL):
         raise ValueError("refinement star must square to the identity")
     tr = normalized_trace(s)
     if not within(abs(tr), 1.0, INPUT_TOL):
         raise ValueError(
             f"refinement star must have zero normalized trace, got {tr:.3e}"
         )
-    return Refinement(star=s, dim=d)
+    return ref
 
 
 @dataclass(frozen=True)
@@ -95,16 +101,22 @@ def check_einstein_vacuum(q, refinement: Refinement, tol: float = DEFAULT_TOL) -
     The residuals are ||Q - Q*||, |tau(Q star)| and ||star Q - Q star||
     (equal to ||star Q star - Q||, the star being unitary).  lam reports
     3 Re tau(Q) whether or not Q solves.
+
+    Raises
+    ------
+    ValueError
+        If ||Q|| is not a double, since no residual can be gated against it.
     """
     m = as_operator(q)
-    s = refinement.star
-    if m.shape != s.shape:
+    if m.shape != refinement.star.shape:
         raise ValueError(f"operator shape {m.shape} does not match refinement dim {refinement.dim}")
-    sa = frobenius(m - adjoint(m))
-    bianchi = bianchi_residual(m, s)
-    einstein = star_commutator_norm(m, s)
-    lam = 3.0 * normalized_trace(m).real
     scale = frobenius(m)
+    if not np.isfinite(scale):
+        raise ValueError("operator Q has a Frobenius norm beyond the double range")
+    sa = frobenius(m - adjoint(m))
+    bianchi = bianchi_residual(m, refinement.product)
+    einstein = star_commutator_norm(m, refinement.product)
+    lam = 3.0 * normalized_trace(m).real
     return VacuumReport(
         solves=bool(all(within(res, scale, tol) for res in (sa, bianchi, einstein))),
         self_adjoint_residual=float(sa),
@@ -119,13 +131,24 @@ def solve_einstein_vacuum(b, refinement: Refinement) -> np.ndarray:
 
     Linear over real scalars, and the identity on operators that
     already solve the condition; tau of the output is Re tau(B).
+
+    Raises
+    ------
+    ValueError
+        If (B + B*)/2 or the solution leaves the doubles.
     """
     m = as_operator(b)
-    s = refinement.star
+    s, p = refinement.star, refinement.product
     if m.shape != s.shape:
         raise ValueError(f"operator shape {m.shape} does not match refinement dim {refinement.dim}")
-    sym = 0.5 * (m + adjoint(m))
-    avg = 0.5 * (sym + s @ sym @ s)
-    # tau(S star) is real for self-adjoint S and star; drop rounding dust
-    # so the output stays exactly self-adjoint.
-    return avg - normalized_trace(sym @ s).real * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (m + adjoint(m))
+        if not np.isfinite(sym).all():
+            raise ValueError("symmetrized input (B + B*)/2 leaves the double range")
+        avg = 0.5 * (sym + p.right(p.left(sym)))
+        # tau(S star) is real for self-adjoint S and star; drop rounding dust
+        # so the output stays exactly self-adjoint.
+        q = avg - (complex(p.trace(sym)) / refinement.dim).real * s
+    if not np.isfinite(q).all():
+        raise ValueError("vacuum solution of B leaves the double range")
+    return q

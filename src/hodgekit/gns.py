@@ -103,9 +103,6 @@ class AlgebraState:
     algebra: FiniteAlgebra
     densities: tuple
 
-    def phi(self, x) -> complex:
-        return sum(complex(np.trace(d @ b)) for d, b in zip(self.densities, x))
-
 
 def make_state(algebra: FiniteAlgebra, densities) -> AlgebraState:
     """Validate density blocks and normalize the total mass to one.

@@ -4,7 +4,7 @@
     python tests/envelope_grid.py --compare parent.json change.json
 
 The first form imports hodgekit from SRC_DIR and calls `cli.main` in
-process on 197 argvs:
+process on 205 argvs:
 
 - `constants`;
 - `manifold` and `dynamics` on s4, t4_flat, cp2 and s2xs2 at unit and
@@ -13,7 +13,9 @@ process on 197 argvs:
 - `states` on the SD/ASD/mixed/zero grid of surface classes and forms,
   at form scales 1, 150, 1e-10, 1e-300 and 1e300;
 - `solve-einstein` on three random inputs at scales 0.1, 1 and 100,
-  under the split and the standard star, with and without --check-only;
+  under the split and the standard star, on a d = 64 input under a signed
+  pairing star and a rotated dense star, and on two inputs beyond the
+  doubles, each with and without --check-only;
 - `gns` on five trace-state algebras at seeds 0 and 5, plus four states
   of random block rank, two rank-deficient states whose null ideal sees a
   large block (64:1) or a light one (weight 1e-5), and one state at
@@ -97,6 +99,7 @@ def grid():
             for check in ([], ["--check-only"]):
                 argvs.append(["solve-einstein", "--input", path,
                               "--star", f"star_{star_name}.json", *check])
+    argvs += _vacuum_grid()
     argvs += [["gns", "--algebra", alg, "--seed", seed]
               for alg in TRACE_ALGEBRAS for seed in ("0", "5")]
     text = ",".join(f"{k}:{w}" for k, w in RANDOM_RANK_ALGEBRA)
@@ -113,6 +116,33 @@ def grid():
         path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
         argvs.append(["gns", "--algebra", alg, "--state", path])
     return argvs
+
+
+def _vacuum_grid():
+    """solve-einstein at d = 64 under a signed pairing star and a rotated
+    dense star, and on two 6x6 inputs beyond the doubles: 1e308 times a
+    random matrix of largest entry 1, and 1e308 entries with one -1e308.
+    Its own generator leaves the draws of the other inputs unchanged."""
+    rng = np.random.default_rng(64)
+    d = 64
+    pairing = np.zeros((d, d))
+    perm = rng.permutation(d)
+    pairing[perm[0::2], perm[1::2]] = pairing[perm[1::2], perm[0::2]] = rng.choice((-1.0, 1.0), d // 2)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rotated = (q * np.repeat([1.0, -1.0], d // 2)) @ q.conj().T
+    rotated = 0.5 * (rotated + rotated.conj().T)
+    _write("star_pairing_64.json", _matrix(pairing))
+    _write("star_rotated_64.json", _matrix(rotated))
+    _write("input_64.json", _matrix(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    _write("input_1e308.json", _matrix(1e308 * (g / np.abs(g).max())))
+    big = np.full((6, 6), 1e308)
+    big[0, 1] = -1e308
+    _write("input_overflow.json", _matrix(big))
+    runs = [("input_64.json", "star_pairing_64.json"), ("input_64.json", "star_rotated_64.json"),
+            ("input_1e308.json", "star_split.json"), ("input_overflow.json", "star_split.json")]
+    return [["solve-einstein", "--input", path, "--star", star, *check]
+            for path, star in runs for check in ([], ["--check-only"])]
 
 
 def run(src):

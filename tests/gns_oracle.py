@@ -12,8 +12,8 @@ about d^4 cost for an algebra of linear dimension d:
 
 The library computes the same quantities in closed form from one
 eigendecomposition per density block.  The GNS coordinates (`trace`,
-`inner`, `coords`) live here too: only the brute-force pipeline needs
-them.
+`inner`, `coords`) and the state functional `phi` live here too: only
+the brute-force pipeline needs them.
 """
 
 from dataclasses import dataclass
@@ -38,6 +38,11 @@ def basis(alg) -> list:
 def trace(alg, x) -> complex:
     """tau(x) = sum_i lambda_i Trace(x_i) / k_i, normalized so tau(1) = 1."""
     return sum(w * complex(np.trace(b)) / k for b, (k, w) in zip(x, alg.summands))
+
+
+def phi(state, x) -> complex:
+    """The state's functional phi(x) = sum_i Trace(D_i x_i)."""
+    return sum(complex(np.trace(d @ b)) for d, b in zip(state.densities, x))
 
 
 def inner(alg, x, y) -> complex:
@@ -83,7 +88,7 @@ def null_ideal(state, tol=_RANK_TOL) -> list:
     for a, ea in enumerate(units):
         ea_adj = alg.adj(ea)
         for b, eb in enumerate(units):
-            gram[a, b] = state.phi(alg.mul(ea_adj, eb))
+            gram[a, b] = phi(state, alg.mul(ea_adj, eb))
     vals, vecs = np.linalg.eigh(gram)
     cutoff = tol * max(1.0, float(vals[-1]))
     kernel = vecs[:, vals <= cutoff]

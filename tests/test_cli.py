@@ -135,6 +135,38 @@ def test_solve_einstein_check_only_rejects_a_tiny_star(tmp_path):
     assert parse_envelope(proc)["results"]["solves"] is False
 
 
+def _vacuum_files(tmp_path):
+    """The split star, 1e308 times a random 6x6 of largest entry 1, and a
+    file of 1e308 entries with one -1e308, whose B + B* overflows."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    big = np.full((6, 6), 1e308)
+    big[0, 1] = -1e308
+    paths = [tmp_path / name for name in ("star.json", "scaled.json", "big.json")]
+    for path, m in zip(paths, (cv.SPLIT_STAR, 1e308 * (g / np.abs(g).max()), big)):
+        linalg.save_matrix(path, m)
+    return [str(p) for p in paths]
+
+
+def test_solve_einstein_inputs_beyond_the_doubles_exit_two_cleanly(tmp_path):
+    star, scaled, big = _vacuum_files(tmp_path)
+    norm_msg = "error: operator Q has a Frobenius norm beyond the double range\n"
+    proc = run_cli("solve-einstein", "--input", scaled, "--star", star, "--check-only")
+    assert (proc.returncode, proc.stderr) == (2, norm_msg)
+    proc = run_cli("solve-einstein", "--input", big, "--star", star, "--check-only")
+    assert (proc.returncode, proc.stderr) == (2, norm_msg)
+    proc = run_cli("solve-einstein", "--input", big, "--star", star)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: symmetrized input (B + B*)/2 leaves the double range\n")
+
+
+def test_solve_einstein_solves_where_only_the_input_norm_overflows(tmp_path):
+    star, scaled, _ = _vacuum_files(tmp_path)
+    proc = run_cli("solve-einstein", "--input", scaled, "--star", star, check=True)
+    assert proc.stderr == ""
+    assert parse_envelope(proc)["results"]["solves"] is True
+
+
 def test_gns_default_trace_state():
     proc = run_cli("gns", "--algebra", "2:0.5,2:0.5", check=True)
     results = parse_envelope(proc)["results"]
@@ -432,3 +464,20 @@ def test_usage_errors_exit_two(tmp_path):
                    "--star", str(star)).returncode == 2
     assert run_cli().returncode == 2
     assert run_cli("gns", "--algebra", "2:0.5,2:0.7").returncode == 2
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    from hodgekit import cli
+
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert cli.main(["constants"]) == 0
+    assert cli.main(["manifold", "s4", "--params", "2"]) == 0
+    assert len(built) == 1
+    assert original() is not original()
+    # Importing the module builds none.
+    code = "import hodgekit.cli as c; print(c._parser)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "None\n"

@@ -9,6 +9,8 @@ from hodgekit import curvature as cv
 from hodgekit import linalg
 from hodgekit.einstein import check_einstein_vacuum, make_refinement, solve_einstein_vacuum
 
+import vacuum_oracle
+
 
 def _random_refinement(rng, dim):
     """Random balanced involution: +/-1 eigenvalues in a random unitary frame."""
@@ -180,3 +182,107 @@ def test_lambda_does_not_depend_on_the_refinement():
     # Both equal 3 Re tau(B) because averaging preserves the real trace.
     assert abs(lam1 - lam2) < 1e-12
     assert abs(lam1 - 3.0 * linalg.normalized_trace(b).real) < 1e-12
+
+
+def _signed_pairing(rng, pairs, fixed):
+    """A balanced signed-permutation star: `pairs` random pairs (i, j) with
+    s_ij = s_ji = +-1, and `fixed` fixed points of each sign on the diagonal."""
+    d = 2 * pairs + 2 * fixed
+    perm = rng.permutation(d)
+    star = np.zeros((d, d))
+    for i, j in zip(perm[:pairs], perm[pairs:2 * pairs]):
+        star[i, j] = star[j, i] = rng.choice((-1.0, 1.0))
+    rest = perm[2 * pairs:]
+    star[rest, rest] = [1.0] * fixed + [-1.0] * fixed
+    return star
+
+
+def _report_fields(report):
+    return (report.solves, report.self_adjoint_residual, report.bianchi_residual,
+            report.einstein_residual, report.lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(half=st.integers(1, 32), fixed=st.integers(0, 32), seed=st.integers(0, 2**32 - 1),
+       exponent=st.floats(-300, 300))
+def test_signed_permutation_star_matches_the_dense_formulas_bitwise(half, fixed, seed, exponent):
+    """Gathers with a signed-permutation star give the bits of the BLAS products,
+    at d = 2 half in [2, 64] and input scales 10^[-300, 300]."""
+    fixed = min(fixed, half)
+    rng = np.random.default_rng(seed)
+    star = _signed_pairing(rng, half - fixed, fixed)
+    ref = make_refinement(star)
+    assert ref.product.is_signed_permutation
+    b = linalg.random_matrix(rng, ref.dim, 10.0 ** exponent)
+    q = solve_einstein_vacuum(b, ref)
+    expected = vacuum_oracle.solve(b, star)
+    assert q.tobytes() == expected.tobytes()
+    assert _report_fields(check_einstein_vacuum(q, ref)) == vacuum_oracle.report(q, star)
+    assert _report_fields(check_einstein_vacuum(b, ref)) == vacuum_oracle.report(b, star)
+
+
+@pytest.mark.parametrize("star, message", [
+    (np.eye(4), "differ from the identity"),
+    # The 3-cycle e0 -> e1 -> e2 -> e0 and a fixed point.
+    (np.array([[0.0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]), "self-adjoint"),
+    # A pair with opposite signs squares to -1, and is not symmetric.
+    (np.array([[0.0, 1], [-1, 0]]), "self-adjoint"),
+    (np.diag([1.0, 1, 1, -1]), "zero normalized trace"),
+    (np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+     "zero normalized trace"),
+])
+def test_invalid_signed_permutation_stars_keep_their_messages(star, message):
+    with pytest.raises(ValueError, match=message):
+        make_refinement(star)
+
+
+def test_stars_that_are_not_signed_permutations_take_the_dense_path():
+    rng = np.random.default_rng(34)
+    off = cv.SPLIT_STAR.copy()
+    off[0, 0] = 1.0 + 2.0 ** -52
+    for ref in (_random_refinement(rng, 6), _random_refinement(rng, 16), make_refinement(off)):
+        assert not ref.product.is_signed_permutation
+        b = linalg.random_matrix(rng, ref.dim)
+        q = solve_einstein_vacuum(b, ref)
+        # Only the trace term is summed in another order than np.trace(S star).
+        assert linalg.frobenius(q - vacuum_oracle.solve(b, ref.star)) <= 1e-14 * linalg.frobenius(b)
+        report = check_einstein_vacuum(q, ref)
+        expected = vacuum_oracle.report(q, ref.star)
+        assert report.solves == expected[0]
+        assert (report.self_adjoint_residual, report.einstein_residual) == expected[1:4:2]
+    for star in (cv.SPLIT_STAR, cv.STANDARD_STAR):
+        assert make_refinement(star).product.is_signed_permutation
+
+
+def _overflowing_input():
+    """1e308 times a random 6x6 of largest entry 1: ||B|| leaves the doubles,
+    while its vacuum solution, an average, stays inside them."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return 1e308 * (g / np.abs(g).max())
+
+
+def test_check_rejects_an_operator_whose_norm_leaves_the_doubles():
+    ref = make_refinement(cv.SPLIT_STAR)
+    with pytest.raises(ValueError, match="operator Q has a Frobenius norm beyond the double range"):
+        check_einstein_vacuum(_overflowing_input(), ref)
+
+
+def test_solve_still_answers_where_only_the_input_norm_overflows():
+    ref = make_refinement(cv.SPLIT_STAR)
+    q = solve_einstein_vacuum(_overflowing_input(), ref)
+    assert np.isfinite(linalg.frobenius(q))
+    assert check_einstein_vacuum(q, ref).solves
+
+
+def test_solve_rejects_a_symmetrized_input_outside_the_doubles():
+    big = np.full((6, 6), 1e308)
+    big[0, 1] = -1e308
+    ref = make_refinement(cv.SPLIT_STAR)
+    with pytest.raises(ValueError, match=r"symmetrized input \(B \+ B\*\)/2 leaves the double range"):
+        solve_einstein_vacuum(big, ref)
+    with pytest.raises(ValueError, match="operator Q has a Frobenius norm"):
+        check_einstein_vacuum(big, ref)
+    # (B + B*)/2 is a double here, but the sum in tau(S star) is not.
+    with pytest.raises(ValueError, match="vacuum solution of B leaves the double range"):
+        solve_einstein_vacuum(np.diag([0.89e308] * 3 + [0.0] * 3), ref)

@@ -92,7 +92,7 @@ def test_left_mult_matrix_reproduces_multiplication():
 def test_make_state_normalizes_and_validates():
     alg = _m2()
     state = gns.make_state(alg, [np.diag([2.0, 2.0])])
-    assert state.phi(alg.identity()) == pytest.approx(1.0)
+    assert gns_oracle.phi(state, alg.identity()) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="Hermitian"):
         gns.make_state(alg, [np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match="semidefinite"):

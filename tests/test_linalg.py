@@ -173,3 +173,22 @@ def test_frobenius_is_safe_over_the_double_range():
     assert linalg.frobenius([1.7e308, 1.7e308]) == np.inf
     assert linalg.frobenius(np.zeros((3, 3))) == 0.0
 
+
+
+def test_star_product_gathers_a_signed_permutation_and_multiplies_anything_else():
+    rng = np.random.default_rng(12)
+    pairing = np.zeros((5, 5))
+    for i, j, sign in ((0, 3, -1.0), (3, 0, -1.0), (1, 4, 1.0), (4, 1, 1.0), (2, 2, -1.0)):
+        pairing[i, j] = sign
+    cycle = np.roll(np.eye(5), 1, axis=0) * [1.0, -1, 1, 1, -1]
+    general = linalg.random_matrix(rng, 5)
+    m = linalg.random_matrix(rng, 5)
+    for s, gathers in ((pairing, True), (cycle, True), (general, False),
+                       (1j * pairing, False), (2.0 * pairing, False)):
+        p = linalg.StarProduct(s)
+        assert p.is_signed_permutation is gathers
+        np.testing.assert_array_equal(p.left(m), s @ m)
+        np.testing.assert_array_equal(p.right(m), m @ s)
+        assert abs(p.trace(m) - np.trace(m @ s)) <= 1e-15 * linalg.frobenius(m) * linalg.frobenius(s)
+    for s in (np.ones(4), np.ones((2, 3)), np.zeros((0, 0))):
+        assert not linalg.StarProduct(s).is_signed_permutation
