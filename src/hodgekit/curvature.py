@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, INPUT_TOL, StarProduct, frobenius, within
+from .linalg import DEFAULT_TOL, INPUT_TOL, StarProduct, frobenius, rescaled, within
 
 # Star on the coordinate basis: *e12 = e34, *e13 = -e24, *e14 = e23,
 # and symmetrically back.  Column j holds the coefficients of *e_j.
@@ -249,7 +249,7 @@ def bianchi_residual(r, star=None) -> float:
     with equal diagonal-block traces, which is the algebraic first
     Bianchi identity in this picture.  star is a matrix or a StarProduct."""
     m, s = _operator_and_star(r, star)
-    return float(abs(s.trace(m)) / m.shape[0])
+    return float(rescaled(lambda a: abs(s.trace(a)) / a.shape[0], m))
 
 
 def ric0_norm(r) -> float:

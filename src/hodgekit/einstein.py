@@ -29,7 +29,7 @@ import numpy as np
 
 from .curvature import bianchi_residual, star_commutator_norm
 from .linalg import (DEFAULT_TOL, INPUT_TOL, StarProduct, adjoint, as_operator, frobenius,
-                     normalized_trace, within)
+                     normalized_trace, rescaled, within)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ def check_einstein_vacuum(q, refinement: Refinement, tol: float = DEFAULT_TOL) -
     Raises
     ------
     ValueError
-        If ||Q|| is not a double, since no residual can be gated against it.
+        If ||Q|| is not a double, since no residual can be gated against it,
+        or a residual or lam is not.
     """
     m = as_operator(q)
     if m.shape != refinement.star.shape:
@@ -113,10 +114,14 @@ def check_einstein_vacuum(q, refinement: Refinement, tol: float = DEFAULT_TOL) -
     scale = frobenius(m)
     if not np.isfinite(scale):
         raise ValueError("operator Q has a Frobenius norm beyond the double range")
-    sa = frobenius(m - adjoint(m))
+    sa = rescaled(lambda a: frobenius(a - adjoint(a)), m)
     bianchi = bianchi_residual(m, refinement.product)
-    einstein = star_commutator_norm(m, refinement.product)
+    einstein = rescaled(lambda a: star_commutator_norm(a, refinement.product), m)
     lam = 3.0 * normalized_trace(m).real
+    for name, value in (("self-adjoint residual ||Q - Q*||", sa),
+                        ("Einstein residual ||star Q - Q star||", einstein), ("Lambda", lam)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} leaves the double range")
     return VacuumReport(
         solves=bool(all(within(res, scale, tol) for res in (sa, bianchi, einstein))),
         self_adjoint_residual=float(sa),
@@ -135,20 +140,25 @@ def solve_einstein_vacuum(b, refinement: Refinement) -> np.ndarray:
     Raises
     ------
     ValueError
-        If (B + B*)/2 or the solution leaves the doubles.
+        If the solution leaves the doubles.
     """
     m = as_operator(b)
     s, p = refinement.star, refinement.product
     if m.shape != s.shape:
         raise ValueError(f"operator shape {m.shape} does not match refinement dim {refinement.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = 0.5 * (m + adjoint(m))
-        if not np.isfinite(sym).all():
-            raise ValueError("symmetrized input (B + B*)/2 leaves the double range")
-        avg = 0.5 * (sym + p.right(p.left(sym)))
+
+    def tau(a):
         # tau(S star) is real for self-adjoint S and star; drop rounding dust
         # so the output stays exactly self-adjoint.
-        q = avg - (complex(p.trace(sym)) / refinement.dim).real * s
+        return (complex(p.trace(a)) / refinement.dim).real
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (m + adjoint(m))
+        q = 0.5 * (sym + p.right(p.left(sym))) - tau(sym) * s
+        if not np.isfinite(q).all():
+            # A sum left the doubles: halve before adding, and rescale tau(S star).
+            sym = 0.5 * m + 0.5 * adjoint(m)
+            q = 0.5 * sym + 0.5 * p.right(p.left(sym)) - rescaled(tau, sym) * s
     if not np.isfinite(q).all():
         raise ValueError("vacuum solution of B leaves the double range")
     return q

@@ -21,15 +21,17 @@ is the total weight of the faithful blocks.  gamma = 1 exactly for
 faithful phi; in the II_1 setting the survivor is a proper corner and
 the bound is strict, a boundary effect this finite model keeps visible.
 
-So one eigh per density block gives everything.  An eigenvalue counts
-as zero when it is at most DEFAULT_TOL, relative to the unit mass of the state:
-the cutoff on the Gram matrix phi(E_a* E_b) = I_k (x) D_i^T that the
-brute-force reference in tests/gns_oracle.py diagonalizes.
+So one eigh per density block gives everything: `gns_representation`
+keeps the kernels, and the ideal is built from them.  An eigenvalue
+counts as zero when it is at most DEFAULT_TOL, relative to the unit mass
+of the state: the cutoff on the Gram matrix phi(E_a* E_b) = I_k (x) D_i^T
+that the brute-force reference in tests/gns_oracle.py diagonalizes.  The
+ideal residual multiplies only the nonzero blocks of each ideal element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +62,7 @@ class FiniteAlgebra:
             raise ValueError(f"summand weights must sum to 1, got {total!r}")
         object.__setattr__(self, "summands", tuple(cleaned))
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return tuple(k for k, _ in self.summands)
 
@@ -132,10 +134,9 @@ def make_state(algebra: FiniteAlgebra, densities) -> AlgebraState:
     return AlgebraState(algebra=algebra, densities=tuple(d / total for d in blocks))
 
 
-def _kernels(state: AlgebraState) -> list:
+def _kernels(state: AlgebraState) -> tuple:
     """Orthonormal kernel vectors of each density block, as columns."""
-    spectra = [np.linalg.eigh(d) for d in state.densities]
-    return [vecs[:, within(vals, 1.0)] for vals, vecs in spectra]
+    return tuple(vecs[:, within(vals, 1.0)] for vals, vecs in map(np.linalg.eigh, state.densities))
 
 
 def gns_null_ideal(state: AlgebraState) -> list:
@@ -144,9 +145,12 @@ def gns_null_ideal(state: AlgebraState) -> list:
     Block i contributes sqrt(k_i / lambda_i) e_a v* for each row a and
     each kernel vector v of D_i: a basis of m_{k_i} (1 - P_i).
     """
-    alg = state.algebra
+    return _null_basis(state.algebra, _kernels(state))
+
+
+def _null_basis(alg: FiniteAlgebra, kernels) -> list:
     out = []
-    for idx, ((k, w), kernel) in enumerate(zip(alg.summands, _kernels(state))):
+    for idx, ((k, w), kernel) in enumerate(zip(alg.summands, kernels)):
         for v in kernel.T:
             for a in range(k):
                 blocks = alg.zero()
@@ -159,13 +163,15 @@ def left_ideal_residual(state: AlgebraState, ideal, rng: np.random.Generator,
                         samples: int = 5) -> float:
     """Worst phi(B* B) / Tr(B* B) over B = X A, X random, A in the ideal basis: at most
     the largest density eigenvalue (unit mass), whatever the weights; a null one on the ideal."""
+    # A zero block of A adds exactly 0 to both sums, so only the others are multiplied.
+    live = [(a, idx) for a in ideal if (idx := [i for i, ai in enumerate(a) if ai.any()])]
     worst = 0.0
     for _ in range(samples):
         x = state.algebra.random_element(rng)
-        for a in ideal:
-            bs = [xi @ ai for xi, ai in zip(x, a)]
-            num = sum(np.vdot(b, b @ d).real for b, d in zip(bs, state.densities))
-            worst = max(worst, abs(num) / sum(np.vdot(b, b).real for b in bs))
+        for a, idx in live:
+            bs = [(x[i] @ a[i], state.densities[i]) for i in idx]
+            num = sum(np.vdot(b, b @ d).real for b, d in bs)
+            worst = max(worst, abs(num) / sum(np.vdot(b, b).real for b, _ in bs))
     return float(worst)
 
 
@@ -184,24 +190,25 @@ class GnsRepresentation:
     gamma: float
     rho_kernel_dim: int
     faithful: bool
+    kernels: tuple = field(init=False, repr=False, compare=False, default=None)  # per density block
 
     @cached_property
     def ideal(self) -> tuple:
         """GNS basis of the null ideal, built on first access."""
-        return tuple(gns_null_ideal(self.state))
+        return tuple(_null_basis(self.state.algebra, self.kernels or _kernels(self.state)))
 
     @property
     def perp_dim(self) -> int:
         return sum(self.per_summand_ranks)
 
     def represent(self, x) -> np.ndarray:
-        """rho(x): left multiplication kron(x_i, 1) on the faithful blocks."""
+        """rho(x): left multiplication kron(x_i, 1) on the faithful blocks, as np.kron's products."""
         alg = self.state.algebra
         out = np.zeros((self.perp_dim, self.perp_dim), dtype=np.complex128)
         pos = 0
         for b, k, r in zip(alg.element(x), alg.dims, self.per_summand_ranks):
             if r:
-                out[pos:pos + r, pos:pos + r] = np.kron(b, np.eye(k))
+                out[pos:pos + r, pos:pos + r] = (b[:, None, :, None] * np.eye(k)[:, None]).reshape(r, r)
                 pos += r
         return out
 
@@ -219,10 +226,11 @@ def gns_representation(state: AlgebraState) -> GnsRepresentation:
     gamma sums lambda_i rank_i / k_i^2 over the per-summand ranks.
     """
     alg = state.algebra
-    nullity = [kernel.shape[1] for kernel in _kernels(state)]
+    kernels = _kernels(state)
+    nullity = [kernel.shape[1] for kernel in kernels]
     ranks = tuple(0 if n else k * k for k, n in zip(alg.dims, nullity))
     dead = alg.total_dim - sum(ranks)
-    return GnsRepresentation(
+    rep = GnsRepresentation(
         state=state,
         ideal_dim=sum(k * n for k, n in zip(alg.dims, nullity)),
         j_dim=dead,
@@ -231,3 +239,5 @@ def gns_representation(state: AlgebraState) -> GnsRepresentation:
         rho_kernel_dim=dead,
         faithful=dead == 0,
     )
+    object.__setattr__(rep, "kernels", kernels)
+    return rep

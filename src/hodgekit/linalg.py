@@ -22,6 +22,7 @@ package.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -61,8 +62,12 @@ def adjoint(a) -> np.ndarray:
 
 
 def normalized_trace(a) -> complex:
-    """tau(A) = Trace(A) / dim.  tau(1) = 1 for every dimension."""
-    m = as_operator(a)
+    """tau(A) = Trace(A) / dim.  tau(1) = 1 for every dimension; a Trace beyond
+    the doubles is retried by `rescaled`."""
+    return rescaled(_trace_over_dim, as_operator(a))
+
+
+def _trace_over_dim(m) -> complex:
     return complex(np.trace(m)) / m.shape[0]
 
 
@@ -71,6 +76,18 @@ def binary_scale(*arrays) -> tuple:
     the doubles for a subnormal maximum; dividing by both is exact (Blue, ACM TOMS 4, 1978)."""
     e = int(np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1])
     return 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+
+
+def rescaled(f, m):
+    """f(m) for f homogeneous of degree one in m.  Where a sum inside f leaves the
+    doubles although f(m) may not, f(m / lo / hi) * lo * hi with `binary_scale`'s
+    factors; a value that is still not finite is out of range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = f(m)
+        if cmath.isfinite(value):
+            return value
+        lo, hi = binary_scale(m)
+        return f(m / lo / hi) * lo * hi
 
 
 def frobenius(a) -> float:

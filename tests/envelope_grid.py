@@ -4,7 +4,7 @@
     python tests/envelope_grid.py --compare parent.json change.json
 
 The first form imports hodgekit from SRC_DIR and calls `cli.main` in
-process on 205 argvs:
+process on 209 argvs:
 
 - `constants`;
 - `manifold` and `dynamics` on s4, t4_flat, cp2 and s2xs2 at unit and
@@ -18,8 +18,10 @@ process on 205 argvs:
   doubles, each with and without --check-only;
 - `gns` on five trace-state algebras at seeds 0 and 5, plus four states
   of random block rank, two rank-deficient states whose null ideal sees a
-  large block (64:1) or a light one (weight 1e-5), and one state at
-  subnormal scales 1e-310 and 1e-320.
+  large block (64:1) or a light one (weight 1e-5), one state at
+  subnormal scales 1e-310 and 1e-320, two rank-deficient blocks beside a
+  zero block, 3:0.5,3:0.5 at ranks (1, 0), the default trace state with
+  no --state, and a state on the single block 1:1.
 
 Input files are written to a scratch directory under fixed relative
 names, so envelopes that echo a path compare equal across trees.  Each
@@ -115,7 +117,22 @@ def grid():
                                  [scale * rank3, scale * np.eye(2)]) for scale in (1e-310, 1e-320))):
         path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
         argvs.append(["gns", "--algebra", alg, "--state", path])
-    return argvs
+    return argvs + _gns_grid()
+
+
+def _gns_grid():
+    """gns on two rank-deficient blocks beside a zero block, on 3:0.5,3:0.5
+    at ranks (1, 0), on the default trace state, and on the single block 1:1.
+    Its own generator leaves the draws of the other inputs unchanged."""
+    rng = np.random.default_rng(20)
+    argvs = []
+    for name, alg, ranks in (("deficient", "4:0.4,3:0.35,2:0.25", (2, 1, 0)),
+                             ("halves", "3:0.5,3:0.5", (1, 0)), ("single", "1:1", (1,))):
+        dims = [int(term.split(":")[0]) for term in alg.split(",")]
+        blocks = [_density(rng, k, r) for k, r in zip(dims, ranks)]
+        path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
+        argvs.append(["gns", "--algebra", alg, "--state", path])
+    return argvs + [["gns", "--algebra", "5:0.6,1:0.4"]]
 
 
 def _vacuum_grid():

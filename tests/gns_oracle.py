@@ -14,6 +14,11 @@ The library computes the same quantities in closed form from one
 eigendecomposition per density block.  The GNS coordinates (`trace`,
 `inner`, `coords`) and the state functional `phi` live here too: only
 the brute-force pipeline needs them.
+
+`represent` (rho(x) through `np.kron`) and `left_ideal_residual` (every
+block of every ideal element multiplied) are the library's earlier
+kernels, kept as bitwise references for the ones that skip kron's
+dispatch and the zero blocks.
 """
 
 from dataclasses import dataclass
@@ -77,6 +82,30 @@ def left_mult_matrix(alg, x) -> np.ndarray:
         out[pos:pos + n, pos:pos + n] = np.kron(b, np.eye(k))
         pos += n
     return out
+
+
+def represent(rep, x) -> np.ndarray:
+    """rho(x) = kron(x_i, 1) on the faithful blocks, one np.kron per block."""
+    alg = rep.state.algebra
+    out = np.zeros((rep.perp_dim, rep.perp_dim), dtype=np.complex128)
+    pos = 0
+    for b, k, r in zip(alg.element(x), alg.dims, rep.per_summand_ranks):
+        if r:
+            out[pos:pos + r, pos:pos + r] = np.kron(b, np.eye(k))
+            pos += r
+    return out
+
+
+def left_ideal_residual(state, ideal, rng, samples=5) -> float:
+    """Worst phi(B* B) / Tr(B* B) over B = X A, multiplying every block of A."""
+    worst = 0.0
+    for _ in range(samples):
+        x = state.algebra.random_element(rng)
+        for a in ideal:
+            bs = [xi @ ai for xi, ai in zip(x, a)]
+            num = sum(np.vdot(b, b @ d).real for b, d in zip(bs, state.densities))
+            worst = max(worst, abs(num) / sum(np.vdot(b, b).real for b in bs))
+    return float(worst)
 
 
 def null_ideal(state, tol=_RANK_TOL) -> list:

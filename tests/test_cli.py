@@ -155,9 +155,9 @@ def test_solve_einstein_inputs_beyond_the_doubles_exit_two_cleanly(tmp_path):
     assert (proc.returncode, proc.stderr) == (2, norm_msg)
     proc = run_cli("solve-einstein", "--input", big, "--star", star, "--check-only")
     assert (proc.returncode, proc.stderr) == (2, norm_msg)
+    # (B + B*)/2 is a double, but the norm of the solution is not.
     proc = run_cli("solve-einstein", "--input", big, "--star", star)
-    assert (proc.returncode, proc.stderr) == (
-        2, "error: symmetrized input (B + B*)/2 leaves the double range\n")
+    assert (proc.returncode, proc.stderr) == (2, norm_msg)
 
 
 def test_solve_einstein_solves_where_only_the_input_norm_overflows(tmp_path):
@@ -165,6 +165,32 @@ def test_solve_einstein_solves_where_only_the_input_norm_overflows(tmp_path):
     proc = run_cli("solve-einstein", "--input", scaled, "--star", star, check=True)
     assert proc.stderr == ""
     assert parse_envelope(proc)["results"]["solves"] is True
+
+
+def test_solve_einstein_where_a_residual_or_a_trace_sum_leaves_the_doubles(tmp_path):
+    star = tmp_path / "star.json"
+    linalg.save_matrix(star, cv.SPLIT_STAR)
+    antisym = np.zeros((6, 6))
+    antisym[0, 1], antisym[1, 0] = 1e308, -1e308
+    files = {}
+    for name, m in (("antisym", antisym), ("diag2", np.diag([1e308, 1e308, 0, 0, 0, 0])),
+                    ("diag3", np.diag([0.89e308] * 3 + [0.0] * 3))):
+        files[name] = tmp_path / f"{name}.json"
+        linalg.save_matrix(files[name], m)
+    proc = run_cli("solve-einstein", "--input", str(files["antisym"]), "--star", str(star),
+                   "--check-only")
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: self-adjoint residual ||Q - Q*|| leaves the double range\n")
+    proc = run_cli("solve-einstein", "--input", str(files["diag2"]), "--star", str(star),
+                   "--check-only")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    results = parse_envelope(proc)["results"]
+    assert results["bianchi_residual"] == pytest.approx(1e308 / 3, rel=1e-15)
+    assert results["lambda"] == pytest.approx(1e308, rel=1e-15)
+    for name in ("diag2", "diag3"):
+        proc = run_cli("solve-einstein", "--input", str(files[name]), "--star", str(star))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert parse_envelope(proc)["results"]["solves"] is True
 
 
 def test_gns_default_trace_state():

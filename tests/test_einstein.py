@@ -1,5 +1,7 @@
 """Vacuum condition over a refined algebra: validation, checking, solving."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,14 +277,47 @@ def test_solve_still_answers_where_only_the_input_norm_overflows():
     assert check_einstein_vacuum(q, ref).solves
 
 
-def test_solve_rejects_a_symmetrized_input_outside_the_doubles():
+def test_solve_halves_before_adding_where_a_sum_leaves_the_doubles():
+    # B + B* overflows on the diagonal, (B + B*)/2 and the solution do not;
+    # the solution's norm does, so checking it is refused.
     big = np.full((6, 6), 1e308)
     big[0, 1] = -1e308
     ref = make_refinement(cv.SPLIT_STAR)
-    with pytest.raises(ValueError, match=r"symmetrized input \(B \+ B\*\)/2 leaves the double range"):
-        solve_einstein_vacuum(big, ref)
-    with pytest.raises(ValueError, match="operator Q has a Frobenius norm"):
-        check_einstein_vacuum(big, ref)
-    # (B + B*)/2 is a double here, but the sum in tau(S star) is not.
-    with pytest.raises(ValueError, match="vacuum solution of B leaves the double range"):
-        solve_einstein_vacuum(np.diag([0.89e308] * 3 + [0.0] * 3), ref)
+    want = np.kron(np.eye(2), np.full((3, 3), 1e308))
+    want[0, 1] = want[1, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(solve_einstein_vacuum(big, ref), want)
+        with pytest.raises(ValueError, match="operator Q has a Frobenius norm"):
+            check_einstein_vacuum(big, ref)
+        # (B + B*)/2 is a double here, but the sum in tau(S star) is not.
+        for diag, solution in (([0.89e308] * 3 + [0.0] * 3, [0.445e308] * 6),
+                               ([1e308, 1e308, 0, 0, 0, 0], np.array([2, 2, -1, 1, 1, 1]) / 3 * 1e308)):
+            q = solve_einstein_vacuum(np.diag(diag), ref)
+            np.testing.assert_allclose(q, np.diag(solution), rtol=1e-15)
+            assert check_einstein_vacuum(q, ref).solves
+
+
+def test_check_names_a_residual_that_leaves_the_doubles():
+    # ||Q|| = 1.4e308 is a double, ||Q - Q*|| = 2.8e308 is not.
+    q = np.zeros((6, 6))
+    q[0, 1], q[1, 0] = 1e308, -1e308
+    ref = make_refinement(cv.SPLIT_STAR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"self-adjoint residual \|\|Q - Q\*\|\| leaves"):
+            check_einstein_vacuum(q, ref)
+
+
+def test_check_rescales_traces_whose_sums_leave_the_doubles():
+    # Trace(Q) = Trace(Q star) = 2e308 overflow; tau(Q) and tau(Q star) do not.
+    ref = make_refinement(cv.SPLIT_STAR)
+    q = np.diag([1e308, 1e308, 0, 0, 0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_einstein_vacuum(q, ref)
+        assert linalg.normalized_trace(q) == pytest.approx(1e308 / 3, rel=1e-15)
+    assert not report.solves
+    assert report.bianchi_residual == pytest.approx(1e308 / 3, rel=1e-15)
+    assert report.lam == pytest.approx(1e308, rel=1e-15)
+    assert (report.self_adjoint_residual, report.einstein_residual) == (0.0, 0.0)

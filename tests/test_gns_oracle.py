@@ -59,3 +59,35 @@ def test_ideal_is_built_on_first_access():
     assert "ideal" not in vars(rep)
     assert len(rep.ideal) == rep.ideal_dim == 3
     assert rep.ideal is rep.ideal
+
+
+@st.composite
+def ideal_cases(draw):
+    """1 to 4 blocks of size 1 to 16 at random ranks, the library's null
+    ideal plus a hand-made element nonzero in two blocks, shuffled."""
+    dims = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    ranks = draw(st.tuples(*(st.integers(0, k) for k in dims)).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alg = gns.FiniteAlgebra(tuple((k, 1.0 / len(dims)) for k in dims))
+    state = gns.make_state(alg, [oracle.density_block(rng, k, r) for k, r in zip(dims, ranks)])
+    rep = gns.gns_representation(state)
+    ideal = list(rep.ideal)
+    if len(dims) > 1:
+        i, j = draw(st.lists(st.integers(0, len(dims) - 1), min_size=2, max_size=2, unique=True))
+        blocks = list(alg.zero())
+        blocks[i], blocks[j] = alg.random_element(rng)[i], alg.random_element(rng)[j]
+        ideal.append(tuple(blocks))
+    return state, rep, draw(st.permutations(ideal)), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal_cases(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_kernels_match_the_reference_loops_bitwise(case, seed, samples):
+    state, rep, ideal, rng = case
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    res = gns.left_ideal_residual(state, ideal, ours, samples)
+    assert res == oracle.left_ideal_residual(state, ideal, theirs, samples)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    for x in (state.algebra.identity(), state.algebra.random_element(rng)):
+        rho, want = rep.represent(x), oracle.represent(rep, x)
+        assert np.array_equal(rho, want) and rho.tobytes() == want.tobytes()

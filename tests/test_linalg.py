@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from hodgekit import curvature as cv
 from hodgekit import linalg
 
 
@@ -173,6 +175,19 @@ def test_frobenius_is_safe_over_the_double_range():
     assert linalg.frobenius([1.7e308, 1.7e308]) == np.inf
     assert linalg.frobenius(np.zeros((3, 3))) == 0.0
 
+
+
+def test_traces_whose_sums_leave_the_doubles_are_rescaled():
+    # 1e308 + 1e308 overflows before the -1e308 and the division by d come in.
+    m = np.diag([1e308, 1e308, -1e308, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.normalized_trace(m) == pytest.approx(1e308 / 6, rel=1e-15)
+        assert linalg.normalized_trace(np.eye(3) * 1.5e308) == 1.5e308
+        # A star that is not a signed permutation takes the dense trace.
+        for star in (np.diag([1.0, 1, 1, -1, -1, -1]), np.diag([1.0, 1, 1, -1, -1, -1 + 2**-52])):
+            assert cv.bianchi_residual(m, star) == pytest.approx(1e308 / 6, rel=1e-15)
+        assert linalg.rescaled(lambda a: float(np.sum(a)), np.full(3, 1e308)) == np.inf
 
 
 def test_star_product_gathers_a_signed_permutation_and_multiplies_anything_else():

@@ -10,6 +10,8 @@ A Ric0 B^T), and the whole operator is then scaled by 10^k.
 import contextlib
 import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -23,6 +25,7 @@ from hodgekit import linalg
 from hodgekit.einstein import make_refinement
 
 from envelope_grid import CLASSES, FORMS
+from gns_oracle import density_block
 
 GEN = dyn.hodge_generator(make_refinement(cv.SPLIT_STAR))
 
@@ -162,3 +165,37 @@ def test_states_verdicts_across_the_double_range(tmp_path):
                         "zero" in (s_cls, o_cls) or s_cls == o_cls != "mixed"), (s_cls, o_cls, e)
                     seen += 1
     assert seen == 976
+
+
+def _gns_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    assert err.getvalue() == "", (argv, err.getvalue())
+    res = json.loads(out.getvalue())["results"]
+    return rc, {k: v for k, v in res.items() if k == "gamma" or isinstance(v, (bool, int, list))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.floats(-8.0, 0.0), st.floats(0.0, 1.0)),
+                min_size=1, max_size=4),
+       st.floats(-300.0, 300.0), st.integers(0, 2**32 - 1))
+def test_gns_verdicts_do_not_depend_on_the_scale_of_the_densities(blocks, log_scale, seed):
+    # Each block is (k, log10 of its raw weight, share of full rank); ranks
+    # may be 0 or k.  The densities of both runs differ by 10^log_scale only.
+    ranks = [round(share * k) for k, _, share in blocks]
+    assume(any(ranks))
+    total = sum(10.0 ** w for _, w, _ in blocks)
+    algebra = ",".join(f"{k}:{10.0 ** w / total!r}" for k, w, _ in blocks)
+    rng = np.random.default_rng(seed)
+    densities = [density_block(rng, k, r) for (k, _, _), r in zip(blocks, ranks)]
+    with tempfile.TemporaryDirectory() as work:
+        runs = []
+        for scale in (1.0, 10.0 ** log_scale):
+            path = os.path.join(work, f"state_{scale!r}.json")
+            with open(path, "w") as fh:
+                json.dump({"densities": [linalg.matrix_to_dict(scale * d) for d in densities]}, fh)
+            runs.append(_gns_run(["gns", "--algebra", algebra, "--state", path, "--seed", "3"]))
+    assert runs[0] == runs[1]
