@@ -34,7 +34,6 @@ from .linalg import (
     matrix_from_dict,
     matrix_to_dict,
     normalized_trace,
-    random_matrix,
     within,
 )
 
@@ -328,19 +327,26 @@ def _cmd_states(args) -> int:
     expected_stationary = ((dual_sd and dual_asd) or (omega_sd and omega_asd)
                            or (dual_sd and omega_sd) or (dual_asd and omega_asd))
 
-    rng = np.random.default_rng(args.seed)
-    samples = [random_matrix(rng, 6) for _ in range(20)]
-    base = max(st.stationarity_derivative(sigma, omega, gen, a) for a in samples)
+    # The values of 20 random_matrix(rng, 6) calls, in one draw.
+    draws = np.random.default_rng(args.seed).standard_normal((20, 2, 6, 6))
+    samples = (1.0 / np.sqrt(2.0)) * (draws[:, 0] + 1j * draws[:, 1])
+    base = st.stationarity_derivative(sigma, omega, gen, samples)
     # One perturbed family: epsilon cancels from the probe, and at sign +1
     # each probe returns exactly its base value.
-    pg = dyn.perturbed_star(gen, 0.1, -1)
-    pert = max(base, max(st.perturbed_stationarity(sigma, omega, pg, a) for a in samples))
+    perturbed = st.perturbed_stationarity(sigma, omega, dyn.perturbed_star(gen, 0.1, -1), samples)
 
     # F is bilinear in (eta, omega).
     scale = frobenius(eta) * frobenius(omega)
+    pairing = st.homology_pairing(sigma, omega)
+    for name, value in (("stationarity scale ||eta|| ||omega||", scale),
+                        ("derivative of F(A) = (A omega, eta)", base),
+                        ("derivative of F(A) = (A omega, eta) on the perturbed flow", perturbed),
+                        ("homology pairing of sigma and omega", pairing)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} leaves the double range")
+    pert = max(base, perturbed)
     stationary = (within(base, scale, STATIONARITY_TOL)
                   and within(pert, scale, STATIONARITY_TOL))
-    pairing = st.homology_pairing(sigma, omega)
     ok = stationary == expected_stationary
     results = {
         "poincare_dual": [float(x) for x in eta],

@@ -27,32 +27,15 @@ import numpy as np
 from .linalg import DEFAULT_TOL, INPUT_TOL, StarProduct, frobenius, rescaled, within
 
 # Star on the coordinate basis: *e12 = e34, *e13 = -e24, *e14 = e23,
-# and symmetrically back.  Column j holds the coefficients of *e_j.
-STANDARD_STAR = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    ]
-)
+# and symmetrically back.  Complementary forms sit at mirrored positions
+# j and 5 - j, so the star is anti-diagonal; column j holds *e_j.
+STANDARD_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])).copy()
 
-_S = 1.0 / np.sqrt(2.0)
-
-# Rows: orthonormal self-dual triple then anti-self-dual triple.  The
-# first row is the direction of a Kaehler form e12 + e34.
-BASIS_CHANGE = np.array(
-    [
-        [_S, 0.0, 0.0, 0.0, 0.0, _S],
-        [0.0, _S, 0.0, 0.0, -_S, 0.0],
-        [0.0, 0.0, _S, _S, 0.0, 0.0],
-        [_S, 0.0, 0.0, 0.0, 0.0, -_S],
-        [0.0, _S, 0.0, 0.0, _S, 0.0],
-        [0.0, 0.0, _S, -_S, 0.0, 0.0],
-    ]
-)
+# Rows: the orthonormal self-dual triple (e_i + *e_i)/sqrt 2 for e12, e13,
+# e14, then the anti-self-dual (e_i - *e_i)/sqrt 2.  The first row is the
+# direction of a Kaehler form e12 + e34.
+BASIS_CHANGE = (1.0 / np.sqrt(2.0)) * np.vstack([(np.eye(6) + STANDARD_STAR)[:3],
+                                                 (np.eye(6) - STANDARD_STAR)[:3]])
 
 # The star in its own eigenbasis.
 SPLIT_STAR = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])

@@ -60,12 +60,15 @@ def make_refinement(star) -> Refinement:
     s = as_operator(star)
     d = s.shape[0]
     ref = Refinement(star=s, dim=d)
-    eye = np.eye(d)
-    if within(frobenius(s - eye), 1.0, INPUT_TOL):
+    # On a signed permutation each residual is 0 or at least 1, and symmetry gives s^2 = 1.
+    perm, sign, order = ref.product.perm, ref.product.sign, np.arange(d)
+    if (within(frobenius(s - np.eye(d)), 1.0, INPUT_TOL) if perm is None
+            else (perm == order).all() and (sign == 1).all()):
         raise ValueError("refinement star must differ from the identity")
-    if not within(frobenius(s - adjoint(s)), 1.0, INPUT_TOL):
+    if not (within(frobenius(s - adjoint(s)), 1.0, INPUT_TOL) if perm is None
+            else (perm[perm] == order).all() and (sign[perm] == sign).all()):
         raise ValueError("refinement star must be self-adjoint")
-    if not within(frobenius(ref.product.left(s) - eye), 1.0, INPUT_TOL):
+    if perm is None and not within(frobenius(ref.product.left(s) - np.eye(d)), 1.0, INPUT_TOL):
         raise ValueError("refinement star must square to the identity")
     tr = normalized_trace(s)
     if not within(abs(tr), 1.0, INPUT_TOL):
@@ -114,7 +117,7 @@ def check_einstein_vacuum(q, refinement: Refinement, tol: float = DEFAULT_TOL) -
     scale = frobenius(m)
     if not np.isfinite(scale):
         raise ValueError("operator Q has a Frobenius norm beyond the double range")
-    sa = rescaled(lambda a: frobenius(a - adjoint(a)), m)
+    sa = rescaled(_skew_norm, m)
     bianchi = bianchi_residual(m, refinement.product)
     einstein = rescaled(lambda a: star_commutator_norm(a, refinement.product), m)
     lam = 3.0 * normalized_trace(m).real
@@ -129,6 +132,11 @@ def check_einstein_vacuum(q, refinement: Refinement, tol: float = DEFAULT_TOL) -
         einstein_residual=float(einstein),
         lam=float(lam),
     )
+
+
+def _skew_norm(a) -> float:
+    t = np.conjugate(a.T, out=np.empty_like(a))  # ||A - A*|| in one buffer
+    return frobenius(np.subtract(a, t, out=t))
 
 
 def solve_einstein_vacuum(b, refinement: Refinement) -> np.ndarray:
@@ -153,8 +161,13 @@ def solve_einstein_vacuum(b, refinement: Refinement) -> np.ndarray:
         return (complex(p.trace(a)) / refinement.dim).real
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = 0.5 * (m + adjoint(m))
-        q = 0.5 * (sym + p.right(p.left(sym))) - tau(sym) * s
+        sym = np.conjugate(m.T, out=np.empty_like(m))
+        sym += m
+        sym *= 0.5
+        q = p.right(p.left(sym))
+        q += sym
+        q *= 0.5
+        p.subtract(q, tau(sym))
         if not np.isfinite(q).all():
             # A sum left the doubles: halve before adding, and rescale tau(S star).
             sym = 0.5 * m + 0.5 * adjoint(m)

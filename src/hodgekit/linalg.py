@@ -161,46 +161,64 @@ class StarProduct:
     Hodge star is in the wedge basis, s @ m is a row gather and m @ s a
     column gather: O(d^2), and each entry is one exact product, so the
     values equal the dense product's.  Any other s takes the dense
-    product.  The choice follows from the entries of s alone.
+    product.  The choice follows from the entries of s alone; perm and
+    sign hold s[i, perm[i]] = sign[i], or None.
     """
 
-    __slots__ = ("matrix", "_rows", "_row_sign", "_cols", "_col_sign")
+    __slots__ = ("matrix", "perm", "sign", "_cols", "_col_sign", "_positive_zeros")
 
     def __init__(self, s):
         self.matrix = m = np.asarray(s)
-        self._rows = None
+        self.perm = self.sign = None
         d = m.shape[0] if m.ndim == 2 and m.shape[0] == m.shape[1] else 0
-        if d == 0 or np.count_nonzero(m) != d:
+        # With d nonzero 64-bit words, a signed permutation's are its rows' largest, +-1.
+        words = np.ascontiguousarray(m, dtype=np.complex128).view(np.uint64)
+        self._positive_zeros = d > 0 and np.count_nonzero(words) == d
+        if self._positive_zeros:
+            rows, cols = np.arange(d), words.argmax(1) >> 1
+        elif d > 0 and np.count_nonzero(m) == d:
+            rows, cols = np.divmod(np.flatnonzero(m), d)
+        else:
             return
-        rows, cols = np.divmod(np.flatnonzero(m), d)
         inv, vals, order = np.argsort(cols), m[rows, cols], np.arange(d)
         if (rows == order).all() and (cols[inv] == order).all() and ((vals == 1) | (vals == -1)).all():
             # Row i of s m is sign[i] m[cols[i]]; column j of m s is m[:, inv[j]] sign[inv[j]].
-            sign = vals.real
-            self._rows, self._row_sign = cols, sign[:, None]
-            self._cols, self._col_sign = inv, sign[inv]
+            self.perm, self.sign = cols, vals.real
+            self._cols, self._col_sign = inv, self.sign[inv]
 
     @property
     def is_signed_permutation(self) -> bool:
-        return self._rows is not None
+        return self.perm is not None
 
     def left(self, m) -> np.ndarray:
         """s @ m."""
-        if self._rows is None:
+        if self.perm is None:
             return self.matrix @ m
-        return _signed_take(m, self._rows, self._row_sign, 0)
+        return _signed_take(m, self.perm, self.sign[:, None], 0)
 
     def right(self, m) -> np.ndarray:
         """m @ s."""
-        if self._rows is None:
+        if self.perm is None:
             return m @ self.matrix
         return _signed_take(m, self._cols, self._col_sign, 1)
 
     def trace(self, m):
         """Trace(m s) = sum_ij m_ij s_ji, which needs no product."""
-        if self._rows is None:
+        if self.perm is None:
             return np.sum(m * self.matrix.T)
         return np.sum(m[np.arange(m.shape[0]), self._cols] * self._col_sign)
+
+    def subtract(self, q, c) -> None:
+        """q -= c s in place, with the dense product's bits.  Off perm, c s is +0.0 where s is,
+        but for a -0.0 real part if c has its sign bit set; x - (-0.0) is x + 0.0."""
+        if self.perm is None or not self._positive_zeros:
+            q -= c * self.matrix
+            return
+        at = (np.arange(len(self.perm)), self.perm)
+        on = q[at] - c * self.matrix[at]
+        if np.signbit(c):
+            q.real += 0.0
+        q[at] = on
 
 
 def _signed_take(m, index, sign, axis) -> np.ndarray:

@@ -31,7 +31,7 @@ from .curvature import STANDARD_STAR
 from .dynamics import HodgeGenerator, PerturbedGenerator
 # Re-exported: perfbench/tracing.py wraps these names in this namespace too.
 from .dynamics import evolve, perturbed_evolve  # noqa: F401
-from .linalg import INPUT_TOL, as_operator, frobenius, within
+from .linalg import INPUT_TOL, as_operator, frobenius, rescaled, within
 
 TWO_PI_I = 2j * np.pi
 
@@ -72,7 +72,8 @@ def _form_vector(omega) -> np.ndarray:
 def _in_eigenspace(v, sign: int) -> bool:
     """||star v - sign v|| <= INPUT_TOL ||v||."""
     vec = np.asarray(v, dtype=np.complex128)
-    return bool(within(frobenius(STANDARD_STAR @ vec - sign * vec), frobenius(vec), INPUT_TOL))
+    residual = rescaled(lambda u: frobenius(STANDARD_STAR @ u - sign * u), vec)
+    return bool(within(residual, frobenius(vec), INPUT_TOL))
 
 
 def is_self_dual(v) -> bool:
@@ -91,7 +92,7 @@ def surface_integral(sigma, omega) -> complex:
     Each coordinate 2-torus has unit area and picks out the matching
     basis coefficient, so the integral is the bilinear dot product.
     """
-    return complex(_sigma_vector(sigma) @ _form_vector(omega))
+    return complex(rescaled(lambda w: _sigma_vector(sigma) @ w, _form_vector(omega)))
 
 
 def poincare_dual(sigma) -> np.ndarray:
@@ -115,7 +116,8 @@ def state_functional(sigma, omega, a) -> complex:
 
 def stationarity_derivative(sigma, omega, gen: HodgeGenerator, a,
                             times=DERIVATIVE_TIMES) -> float:
-    """Max |d/dt F(star^t A star^-t)| over the sample times.
+    """Max |d/dt F(star^t A star^-t)| over the sample times and over A, a 6x6
+    operator or an (n, 6, 6) stack; omega is rescaled where a sum overflows.
 
     With star^t = P+ + e^{i pi t} P-, the derivative is exact and in
     closed form, i pi (e^{i pi t} F(P- A P+) - e^{-i pi t} F(P+ A P-)).
@@ -124,13 +126,19 @@ def stationarity_derivative(sigma, omega, gen: HodgeGenerator, a,
     """
     if gen.dim != 6:
         raise ValueError("stationarity probe needs a 6-dimensional flow")
-    m, star = as_operator(a), gen.refinement.star
-    eta, w = poincare_dual(sigma), _form_vector(omega)
+    m, star = np.asarray(a, dtype=np.complex128), gen.refinement.star
+    if m.ndim not in (2, 3) or m.shape[-2:] != (6, 6):
+        raise ValueError(f"expected 6x6 operators, got shape {m.shape}")
+    m, eta = m.reshape(-1, 6, 6), poincare_dual(sigma)
     # F(P- A P+) and F(P+ A P-), with P+- = (1 +- star)/2 moved onto the vectors.
-    rise = np.vdot(eta - star @ eta, m @ (w + star @ w)) / 4
-    fall = np.vdot(eta + star @ eta, m @ (w - star @ w)) / 4
+    down, up = eta - star @ eta, eta + star @ eta
     z = np.exp(1j * np.pi * np.asarray(times, dtype=float))
-    return float(np.abs(1j * np.pi * (z * rise - z.conj() * fall)).max(initial=0.0))
+
+    def probe(w):
+        rise = np.array([np.vdot(down, x) / 4 for x in m @ (w + star @ w)])[:, None]
+        fall = np.array([np.vdot(up, x) / 4 for x in m @ (w - star @ w)])[:, None]
+        return float(np.abs(1j * np.pi * (z * rise - z.conj() * fall)).max(initial=0.0))
+    return rescaled(probe, _form_vector(omega))
 
 
 def perturbed_stationarity(sigma, omega, pgen: PerturbedGenerator, a,

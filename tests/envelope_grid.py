@@ -4,18 +4,22 @@
     python tests/envelope_grid.py --compare parent.json change.json
 
 The first form imports hodgekit from SRC_DIR and calls `cli.main` in
-process on 209 argvs:
+process on 220 argvs:
 
 - `constants`;
 - `manifold` and `dynamics` on s4, t4_flat, cp2 and s2xs2 at unit and
   extreme radii;
 - `clifford` at every signature with 1 <= r+s <= 9, plus 6,6 and 30,30;
 - `states` on the SD/ASD/mixed/zero grid of surface classes and forms,
-  at form scales 1, 150, 1e-10, 1e-300 and 1e300;
+  at form scales 1, 150, 1e-10, 1e-300 and 1e300, and on two inputs
+  whose stationarity scale or perturbed derivative leaves the doubles;
 - `solve-einstein` on three random inputs at scales 0.1, 1 and 100,
   under the split and the standard star, on a d = 64 input under a signed
-  pairing star and a rotated dense star, and on two inputs beyond the
+  pairing star and a rotated dense star, on B = 0 and an anti-Hermitian B
+  with signed zeros under the pairing star, and on two inputs beyond the
   doubles, each with and without --check-only;
+- `solve-einstein` under the signed-permutation stars that the gates
+  reject: 1, -1, a 3-cycle, a pair of opposite signs and an unbalanced one;
 - `gns` on five trace-state algebras at seeds 0 and 5, plus four states
   of random block rank, two rank-deficient states whose null ideal sees a
   large block (64:1) or a light one (weight 1e-5), one state at
@@ -101,7 +105,7 @@ def grid():
             for check in ([], ["--check-only"]):
                 argvs.append(["solve-einstein", "--input", path,
                               "--star", f"star_{star_name}.json", *check])
-    argvs += _vacuum_grid()
+    argvs += _vacuum_grid() + _edge_grid()
     argvs += [["gns", "--algebra", alg, "--seed", seed]
               for alg in TRACE_ALGEBRAS for seed in ("0", "5")]
     text = ",".join(f"{k}:{w}" for k, w in RANDOM_RANK_ALGEBRA)
@@ -160,6 +164,37 @@ def _vacuum_grid():
             ("input_1e308.json", "star_split.json"), ("input_overflow.json", "star_split.json")]
     return [["solve-einstein", "--input", path, "--star", star, *check]
             for path, star in runs for check in ([], ["--check-only"])]
+
+
+def _edge_grid():
+    """solve-einstein on B = 0 and an anti-Hermitian B under the d = 64 pairing
+    star, with a random sign on each zero part; under the signed-permutation
+    stars each gate rejects; and states where a number leaves the doubles.
+    Its own generator leaves the draws of the other inputs unchanged."""
+    rng = np.random.default_rng(22)
+    d = 64
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    argvs = []
+    for name, b in (("zero", np.zeros((d, d), dtype=complex)), ("antiherm", g - g.conj().T)):
+        for part in (b.real, b.imag):
+            zero = part == 0
+            part[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, -0.0, 0.0)
+        path = _write(f"input_{name}_64.json", _matrix(b))
+        argvs += [["solve-einstein", "--input", path, "--star", "star_pairing_64.json", *check]
+                  for check in ([], ["--check-only"])]
+    for k in (2, 4):
+        _write(f"input_{k}.json", _matrix(rng.standard_normal((k, k))))
+    cycle = np.array([[0.0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    for name, star in (("identity", np.eye(4)), ("minus_identity", -np.eye(4)), ("cycle", cycle),
+                       ("opposite_pair", np.array([[0.0, 1], [-1, 0]])),
+                       ("unbalanced", np.diag([1.0, 1, 1, -1]))):
+        path = _write(f"star_{name}.json", _matrix(star))
+        argvs.append(["solve-einstein", "--input", f"input_{len(star)}.json", "--star", path])
+    for sigma, scale in (("1,0,0,0,0,1", 1e308), ("1,0,0,0,0,-1", 1e307)):
+        path = _write(f"omega_beyond_{scale:g}.json",
+                      {"coefficients": _pairs(scale * np.array([1.0, 0, 0, 0, 0, 1]))})
+        argvs.append(["states", "--sigma", sigma, "--omega", path])
+    return argvs
 
 
 def run(src):

@@ -384,6 +384,50 @@ def test_states_stationary_at_large_pairing(tmp_path):
     assert results["max_perturbed_derivative"] < 1e-8
 
 
+@pytest.mark.parametrize("sigma, omega, message", [
+    # ||eta|| ||omega|| = 2e308.
+    ("1,0,0,0,0,1", 1e308 * np.array([1.0, 0, 0, 0, 0, 1]), "stationarity scale ||eta|| ||omega||"),
+    # The scale and the base derivative are doubles; the perturbed one, twice it, is not.
+    ("1,0,0,0,0,-1", 1e307 * np.array([1.0, 0, 0, 0, 0, 1]),
+     "derivative of F(A) = (A omega, eta) on the perturbed flow"),
+    ("1,0,0,0,0,0", 1e308 * np.array([1.0, 0, 0, 0, 0, -1]), "derivative of F(A) = (A omega, eta)"),
+])
+def test_states_numbers_beyond_the_doubles_exit_two_cleanly(tmp_path, sigma, omega, message):
+    omega_path = tmp_path / "omega.json"
+    linalg.save_vector(omega_path, omega)
+    proc = run_cli("states", "--sigma", sigma, "--omega", str(omega_path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {message} leaves the double range\n")
+
+
+def test_states_rescales_omega_where_only_a_sum_leaves_the_doubles(tmp_path):
+    # omega + star omega = 2e308 overflows, but eta = 0, so every derivative,
+    # the scale and the pairing are exactly zero.
+    omega_path = tmp_path / "omega.json"
+    linalg.save_vector(omega_path, 1e308 * np.array([1.0, 0, 0, 0, 0, 1]))
+    proc = run_cli("states", "--sigma", "0,0,0,0,0,0", "--omega", str(omega_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = parse_envelope(proc)["results"]
+    assert (results["max_derivative"], results["max_perturbed_derivative"]) == (0.0, 0.0)
+    assert results["omega_self_dual"] is True and results["omega_anti_self_dual"] is False
+
+
+def test_states_probes_twenty_random_matrix_samples_as_one_stack(tmp_path, monkeypatch):
+    from hodgekit import cli, states
+    stacks, probe = [], states.stationarity_derivative
+    monkeypatch.setattr(states, "stationarity_derivative",
+                        lambda *args: stacks.append(args[3]) or probe(*args))
+    omega_path = tmp_path / "omega.json"
+    linalg.save_vector(omega_path, np.array([1.0, 0.2, -0.7j, 0.4, 0, 2]))
+    argv = ["states", "--sigma", "1,0,0,0,0,0", "--omega", str(omega_path), "--seed", "11",
+            "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    rng = np.random.default_rng(11)
+    calls = np.array([linalg.random_matrix(rng, 6) for _ in range(20)])
+    # The base and the perturbed family each probe the whole stack in one call.
+    assert [a.tobytes() for a in stacks] == [calls.tobytes()] * 2
+
+
 def test_states_verdict_does_not_depend_on_units(tmp_path):
     # Self-dual dual against an anti-self-dual omega at 1e-10: the
     # derivative is linear in omega, 1.5e-9 here, and must not pass an

@@ -208,8 +208,10 @@ def _report_fields(report):
 @given(half=st.integers(1, 32), fixed=st.integers(0, 32), seed=st.integers(0, 2**32 - 1),
        exponent=st.floats(-300, 300))
 def test_signed_permutation_star_matches_the_dense_formulas_bitwise(half, fixed, seed, exponent):
-    """Gathers with a signed-permutation star give the bits of the BLAS products,
-    at d = 2 half in [2, 64] and input scales 10^[-300, 300]."""
+    """On Gaussian inputs, which hold no exact zeros, gathers with a signed-permutation
+    star give the bits of the BLAS products, at d = 2 half in [2, 64] and input scales
+    10^[-300, 300].  Where an entry is an exact zero only its value agrees: a sum of
+    signed zeros may take another sign (see the next test)."""
     fixed = min(fixed, half)
     rng = np.random.default_rng(seed)
     star = _signed_pairing(rng, half - fixed, fixed)
@@ -221,6 +223,98 @@ def test_signed_permutation_star_matches_the_dense_formulas_bitwise(half, fixed,
     assert q.tobytes() == expected.tobytes()
     assert _report_fields(check_einstein_vacuum(q, ref)) == vacuum_oracle.report(q, star)
     assert _report_fields(check_einstein_vacuum(b, ref)) == vacuum_oracle.report(b, star)
+
+
+def _complex(re, im):
+    """re + i im with both parts exactly as given, signed zeros included."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _signed_zeros(rng, a):
+    """a with a random sign on every zero real or imaginary part."""
+    a = np.asarray(a, dtype=np.complex128)
+    re, im = a.real.copy(), a.imag.copy()
+    for part in (re, im):
+        zero = part == 0
+        part[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, -0.0, 0.0)
+    return _complex(re, im)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half=st.integers(1, 8), fixed=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["zero", "anti-hermitian", "integer"]),
+       shift=st.sampled_from([-1.0, -0.0, 0.0, 1.0]), star_zeros=st.booleans())
+def test_in_place_solve_keeps_the_gathered_bits_on_signed_zeros(half, fixed, seed, kind, shift,
+                                                                star_zeros):
+    """The solve keeps the bits of the earlier gathered solve where entries are signed
+    zeros: B = 0, B anti-Hermitian or integer-valued, plus shift times the star, so that
+    tau(S star) is shift (of either sign, or a signed zero) or any integer over d; each
+    zero part of B, and with star_zeros of the star, gets a random sign."""
+    fixed = min(fixed, half)
+    rng = np.random.default_rng(seed)
+    star = _signed_pairing(rng, half - fixed, fixed)
+    if star_zeros:
+        star = _signed_zeros(rng, star)
+    d = star.shape[0]
+    ints = rng.integers(-2, 3, (2, d, d)).astype(float)
+    b = {"zero": np.zeros((d, d)), "integer": _complex(*ints),
+         "anti-hermitian": _complex(*ints) - _complex(*ints).conj().T}[kind]
+    b = _signed_zeros(rng, b + shift * star)
+    ref = make_refinement(star)
+    assert ref.product.is_signed_permutation
+    q = solve_einstein_vacuum(b, ref)
+    assert q.tobytes() == vacuum_oracle.gathered_solve(b, ref.star).tobytes()
+    assert np.array_equal(q, vacuum_oracle.solve(b, ref.star))
+    assert _report_fields(check_einstein_vacuum(q, ref)) == vacuum_oracle.report(q, ref.star)
+
+
+def _signed_permutation(rng, d, kind):
+    """perm and signs of a d x d signed permutation: the identity, minus it, any one,
+    or an involution (random pairs, some with opposite signs, and signed fixed points)."""
+    order = np.arange(d)
+    if kind in ("identity", "minus identity"):
+        return order, np.full(d, 1.0 if kind == "identity" else -1.0)
+    sign = rng.choice((-1.0, 1.0), d)
+    if kind == "any":
+        return rng.permutation(d), sign
+    perm, shuffled = order.copy(), rng.permutation(d)
+    pairs = int(rng.integers(0, d // 2 + 1))
+    left, right = shuffled[:pairs], shuffled[pairs:2 * pairs]
+    perm[left], perm[right] = right, left
+    flip = rng.random(pairs) < 0.1
+    sign[right] = np.where(flip, -sign[left], sign[left])
+    return perm, sign
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["identity", "minus identity", "any", "involution"]),
+       zeros=st.booleans(), nudge=st.sampled_from([None, "ulp", "imaginary"]))
+def test_signed_permutation_gates_agree_with_the_dense_gates(d, seed, kind, zeros, nudge):
+    """make_refinement accepts a signed permutation exactly when the dense gates do, and
+    otherwise raises their message.  With one entry nudged to 1 + 2^-52 times itself or
+    given a tiny imaginary part the star is no signed permutation and takes the dense gates."""
+    rng = np.random.default_rng(seed)
+    perm, sign = _signed_permutation(rng, d, kind)
+    star = np.zeros((d, d), dtype=np.complex128)
+    star[np.arange(d), perm] = sign
+    if zeros:
+        star = _signed_zeros(rng, star)
+    i = int(rng.integers(d))
+    if nudge == "ulp":
+        star[i, perm[i]] *= 1.0 + 2.0 ** -52
+    elif nudge == "imaginary":
+        star[i, perm[i]] += 1e-300j
+    expected = vacuum_oracle.refinement_error(star)
+    if expected is None:
+        ref = make_refinement(star)
+        assert ref.product.is_signed_permutation is (nudge is None)
+    else:
+        with pytest.raises(ValueError) as info:
+            make_refinement(star)
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("star, message", [

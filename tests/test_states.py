@@ -179,6 +179,46 @@ def test_perturbed_probe_is_power_times_the_base_probe(sigma, log_omega, log_a, 
         assert pert == 2 * st.stationarity_derivative(sigma, omega, gen, a, (2 * t,))
 
 
+CLASS_FORMS = {"SD": ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, -1, 0), (0, 0, 1, 1, 0, 0)),
+               "ASD": ((1, 0, 0, 0, 0, -1), (0, 1, 0, 0, 1, 0), (0, 0, 1, -1, 0, 0))}
+
+
+def _class_form(data, cls, elements):
+    """A form of class SD, ASD, mixed or zero: a combination of the eigenbasis drawn by data."""
+    if cls == "zero":
+        return np.zeros(6)
+    if cls == "mixed":
+        return _class_form(data, "SD", elements) + _class_form(data, "ASD", elements)
+    return sum(data.draw(elements) * np.array(v) for v in CLASS_FORMS[cls])
+
+
+CLASSES = hs.sampled_from(["SD", "ASD", "mixed", "zero"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLASSES, CLASSES, hs.floats(-300.0, 300.0), hs.integers(1, 8), hs.integers(0, 2**32 - 1),
+       hs.data())
+def test_stacked_probes_equal_the_largest_per_matrix_probe(sigma_cls, omega_cls, exponent, count,
+                                                          seed, data):
+    """Random classes of sigma and omega at form scales 10^[-300, 300]: a stack of
+    1 to 8 matrices gives, bit for bit, the largest of the per-matrix probes."""
+    gen = dyn.hodge_generator(make_refinement(cv.STANDARD_STAR))
+    sigma = _class_form(data, sigma_cls, hs.integers(-3, 3))
+    omega = 10.0 ** exponent * _class_form(data, omega_cls, hs.complex_numbers(max_magnitude=1.0))
+    rng = np.random.default_rng(seed)
+    stack = np.array([linalg.random_matrix(rng, 6) for _ in range(count)])
+    pg = dyn.perturbed_star(gen, 0.1, -1)
+    for probe, g in ((st.stationarity_derivative, gen), (st.perturbed_stationarity, pg)):
+        per_matrix = np.float64(max(probe(sigma, omega, g, a) for a in stack))
+        assert np.float64(probe(sigma, omega, g, stack)).tobytes() == per_matrix.tobytes()
+
+
+def test_stacked_probes_reject_operators_that_are_not_6x6(gen):
+    for shape in ((6,), (3, 12), (2, 6, 7), (1, 2, 6, 6)):
+        with pytest.raises(ValueError, match="expected 6x6 operators"):
+            st.stationarity_derivative((1, 0, 0, 0, 0, 0), np.ones(6), gen, np.ones(shape))
+
+
 def test_homology_pairing_examples():
     two_pi_i = 2j * np.pi
     assert st.homology_pairing((1, 0, 0, 0, 0, 0), two_pi_i * E[0]) == 1.0
