@@ -171,7 +171,8 @@ class StarProduct:
         self.matrix = m = np.asarray(s)
         self.perm = self.sign = None
         d = m.shape[0] if m.ndim == 2 and m.shape[0] == m.shape[1] else 0
-        # With d nonzero 64-bit words, a signed permutation's are its rows' largest, +-1.
+        # With d nonzero 64-bit words, a signed permutation's are its +-1 real parts, one
+        # per row and so the row's largest; other counts fall back to the entries.
         words = np.ascontiguousarray(m, dtype=np.complex128).view(np.uint64)
         self._positive_zeros = d > 0 and np.count_nonzero(words) == d
         if self._positive_zeros:
