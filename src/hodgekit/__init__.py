@@ -65,7 +65,6 @@ from .dynamics import (
     energy,
     evolve,
     formal_temperature,
-    hamiltonian,
     hodge_generator,
     is_fixed_point,
     perturbed_evolve,

@@ -138,13 +138,12 @@ def _parse_algebra(text: str) -> gnsmod.FiniteAlgebra:
 
 def _einstein_probe(r, tol):
     """The fixed-point report of R under the split-star flow, ||Ric0||, and
-    whether the commutator, Ric0 and sampled-flow tests agree, each
-    gated relative to ||R||."""
+    whether the commutator and Ric0 tests agree, each gated relative to
+    ||R||.  The flow residual is the commutator norm, so it adds no leg."""
     gen = dyn.hodge_generator(make_refinement(cv.SPLIT_STAR))
     fp = dyn.is_fixed_point(gen, r, tol)
     r0 = cv.ric0_norm(r)
-    scale = frobenius(r)
-    return gen, fp, r0, fp.fixed == within(r0, scale, tol) == within(fp.flow_residual, scale, tol)
+    return gen, fp, r0, fp.fixed == within(r0, frobenius(r), tol)
 
 
 def _cmd_manifold(args) -> int:
@@ -187,6 +186,8 @@ def _cmd_manifold(args) -> int:
 def _cmd_clifford(args) -> int:
     r, s = _parse_ints(args.signature, 2)
     sig = cl.QuadraticSignature(r, s)
+    # Before the tower, whose relation check costs m^2 and whose sqrt(dim) overflows.
+    cl.check_span_bound(sig.m)
     tower = cl.build_generators(sig)
     tol = args.tol
 
@@ -205,7 +206,7 @@ def _cmd_clifford(args) -> int:
     )
 
     # Each generator is unitary, of Frobenius norm sqrt(dim).
-    ok = within(rel, np.sqrt(tower.dim), tol) and span == 2**sig.m and trace_res == 0.0
+    ok = within(rel, tower.dim ** 0.5, tol) and span == 2**sig.m and trace_res == 0.0
     results = {
         "m": sig.m,
         "matrix_dim": tower.dim,

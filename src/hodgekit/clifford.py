@@ -166,6 +166,12 @@ def gf2_rank(rows) -> int:
     return len(basis)
 
 
+def check_span_bound(m: int) -> None:
+    """Reject a generator count above MAX_SPAN_GENERATORS."""
+    if m > MAX_SPAN_GENERATORS:
+        raise ValueError(f"generator count {m} exceeds the span bound {MAX_SPAN_GENERATORS}")
+
+
 def span_dimension(tower: CliffordTower) -> int:
     """Linear-span dimension of the generator monomials.
 
@@ -174,11 +180,7 @@ def span_dimension(tower: CliffordTower) -> int:
     scalar product, so the span has dimension 2^rank of the rows; for a
     faithfully represented level this is exactly 2^m.
     """
-    m = tower.signature.m
-    if m > MAX_SPAN_GENERATORS:
-        raise ValueError(
-            f"generator count {m} exceeds the span bound {MAX_SPAN_GENERATORS}"
-        )
+    check_span_bound(tower.signature.m)
     return 2 ** gf2_rank(x | z << tower.level for x, z in zip(tower.x, tower.z))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import star_commutator_norm
-from .linalg import DEFAULT_TOL, adjoint, as_operator, frobenius, within
+from .linalg import DEFAULT_TOL, adjoint, as_operator, frobenius, rescaled, within
 # Re-exported: perfbench/tracing.py wraps expm_normal in this namespace too.
 from .linalg import expm_normal  # noqa: F401
 from .einstein import Refinement
@@ -36,10 +36,6 @@ from .einstein import Refinement
 HBAR_JS = 1.054571817e-34          # reduced Planck constant, J s (exact-based)
 BOLTZMANN_J_PER_K = 1.380649e-23   # k_B, J/K (exact)
 PLANCK_TIME_S = 5.391247e-44       # t_P, s
-
-# Flow samples for the fixed-point probe; incommensurate with the
-# period so accidental returns cannot fake a fixed point.
-FIXED_POINT_TIMES = (0.1, 0.25, 0.5, 1.0, 1.7)
 
 
 @dataclass(frozen=True)
@@ -91,29 +87,26 @@ class FixedPointReport:
 def is_fixed_point(gen: HodgeGenerator, a, tol: float = DEFAULT_TOL) -> FixedPointReport:
     """Probe whether A is a fixed point of the conjugation flow.
 
-    flow_residual is the worst ||star^t A star^-t - A|| over the sample
-    times; the verdict itself uses the commutator ||star A - A star||,
-    which is the exact algebraic criterion and free of sampling, at
-    tolerance tol relative to ||A||.
+    With z = e^{i pi t}, star^t A star^-t - A = (z - 1) P- A P+ + (z* - 1) P+ A P-,
+    two Frobenius-orthogonal pieces, and star A - A star = 2 (P+ A P- - P- A P+).
+    So the flow moves A by |sin(pi t/2)| ||star A - A star|| at every t, and
+    flow_residual, the sup over t, is the commutator norm.  The verdict gates
+    it at tolerance tol relative to ||A||.
     """
-    m = as_operator(a)
-    flow = max(frobenius(evolve(gen, m, t) - m) for t in FIXED_POINT_TIMES)
+    m = _operator_of_dim(a, gen.dim)
     comm = star_commutator_norm(m, gen.refinement.product)
     return FixedPointReport(fixed=bool(within(comm, frobenius(m), tol)),
-                            flow_residual=float(flow), commutator_norm=float(comm))
-
-
-def hamiltonian(gen: HodgeGenerator) -> np.ndarray:
-    """H = (1/i) log star = pi P-; self-adjoint with spectrum {0, pi}."""
-    return np.pi * 0.5 * (np.eye(gen.dim) - gen.refinement.star)
+                            flow_residual=comm, commutator_norm=comm)
 
 
 def energy(gen: HodgeGenerator, r) -> float:
-    """E = tau(H R).  For an Einstein curvature operator in the star
-    eigenbasis this evaluates to pi Lambda / 6."""
+    """E = tau(H R) with H = (1/i) log star = pi P- = (pi/2)(1 - star), so
+    E = (pi/2)(tau(R) - tau(R star)), from two traces and no product.  For
+    an Einstein curvature operator in the star eigenbasis this is pi Lambda / 6."""
     m = _operator_of_dim(r, gen.dim)
-    h = hamiltonian(gen)
-    return float((np.trace(h @ m) / gen.dim).real)
+    s = gen.refinement.product
+    gap = rescaled(lambda a: (np.trace(a) - s.trace(a)) / a.shape[0], m)
+    return float(0.5 * np.pi * gap.real)
 
 
 @dataclass(frozen=True)

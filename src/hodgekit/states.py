@@ -47,7 +47,11 @@ class TorusSurfaceClass:
 
     def __post_init__(self):
         c = tuple(self.coefficients)
-        if len(c) != 6 or any(not float(x).is_integer() for x in c):
+        try:
+            integral = len(c) == 6 and all(float(x).is_integer() for x in c)
+        except OverflowError:
+            raise ValueError("coefficient of sigma leaves the double range") from None
+        if not integral:
             raise ValueError(f"surface class needs 6 integer coefficients, got {c!r}")
         object.__setattr__(self, "coefficients", tuple(int(x) for x in c))
 

@@ -4,15 +4,17 @@
     python tests/envelope_grid.py --compare parent.json change.json
 
 The first form imports hodgekit from SRC_DIR and calls `cli.main` in
-process on 220 argvs:
+process on 222 argvs:
 
 - `constants`;
 - `manifold` and `dynamics` on s4, t4_flat, cp2 and s2xs2 at unit and
   extreme radii;
-- `clifford` at every signature with 1 <= r+s <= 9, plus 6,6 and 30,30;
+- `clifford` at every signature with 1 <= r+s <= 9, plus 6,6 and 30,30,
+  and 2100,0 beyond the span bound;
 - `states` on the SD/ASD/mixed/zero grid of surface classes and forms,
-  at form scales 1, 150, 1e-10, 1e-300 and 1e300, and on two inputs
-  whose stationarity scale or perturbed derivative leaves the doubles;
+  at form scales 1, 150, 1e-10, 1e-300 and 1e300, on two inputs whose
+  stationarity scale or perturbed derivative leaves the doubles, and on
+  a surface class whose coefficient 10^400 does;
 - `solve-einstein` on three random inputs at scales 0.1, 1 and 100,
   under the split and the standard star, on a d = 64 input under a signed
   pairing star and a rotated dense star, on B = 0 and an anti-Hermitian B
@@ -169,8 +171,9 @@ def _vacuum_grid():
 def _edge_grid():
     """solve-einstein on B = 0 and an anti-Hermitian B under the d = 64 pairing
     star, with a random sign on each zero part; under the signed-permutation
-    stars each gate rejects; and states where a number leaves the doubles.
-    Its own generator leaves the draws of the other inputs unchanged."""
+    stars each gate rejects; states where a number leaves the doubles; and
+    clifford beyond the span bound.  Its own generator leaves the draws of
+    the other inputs unchanged."""
     rng = np.random.default_rng(22)
     d = 64
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -190,11 +193,12 @@ def _edge_grid():
                        ("unbalanced", np.diag([1.0, 1, 1, -1]))):
         path = _write(f"star_{name}.json", _matrix(star))
         argvs.append(["solve-einstein", "--input", f"input_{len(star)}.json", "--star", path])
-    for sigma, scale in (("1,0,0,0,0,1", 1e308), ("1,0,0,0,0,-1", 1e307)):
+    beyond = "1" + "0" * 400 + ",0,0,0,0,0"
+    for sigma, scale in (("1,0,0,0,0,1", 1e308), ("1,0,0,0,0,-1", 1e307), (beyond, 1.0)):
         path = _write(f"omega_beyond_{scale:g}.json",
                       {"coefficients": _pairs(scale * np.array([1.0, 0, 0, 0, 0, 1]))})
         argvs.append(["states", "--sigma", sigma, "--omega", path])
-    return argvs
+    return argvs + [["clifford", "2100,0"]]
 
 
 def run(src):

@@ -2,8 +2,10 @@
 
 Recomputes the flow without the library's closed forms: every power is
 exp(t log) by a complex Schur factorization, which is diagonal for a
-normal matrix, and every time derivative of the state functional is a
-central difference of the flowed functional.
+normal matrix, every time derivative of the state functional is a
+central difference of the flowed functional, the fixed-point probe is
+the conjugation flow sampled at a few times, and the energy is the dense
+pairing tau(H R) with the Hamiltonian H.
 """
 
 import numpy as np
@@ -13,6 +15,10 @@ from hodgekit import states as st
 
 # Central-difference step for the derivative oracle.
 STEP = 1e-5
+
+# Flow samples for the sampled fixed-point probe; t = 1.0 is where
+# |sin(pi t / 2)| peaks.
+FIXED_POINT_TIMES = (0.1, 0.25, 0.5, 1.0, 1.7)
 
 
 def expm_schur(a):
@@ -29,6 +35,27 @@ def log_star(gen):
 def star_power(gen, t):
     """star^t = exp(t log star)."""
     return expm_schur(float(t) * log_star(gen))
+
+
+def flow_displacement(gen, a, t):
+    """||star^t A star^-t - A|| with the Schur power."""
+    w = star_power(gen, t)
+    return np.linalg.norm(w @ a @ w.conj().T - a)
+
+
+def sampled_flow_residual(gen, a):
+    """The worst flow displacement over FIXED_POINT_TIMES."""
+    return max(flow_displacement(gen, a, t) for t in FIXED_POINT_TIMES)
+
+
+def hamiltonian(gen):
+    """H = (1/i) log star = pi P-; self-adjoint with spectrum {0, pi}."""
+    return np.pi * 0.5 * (np.eye(gen.dim) - gen.refinement.star)
+
+
+def dense_energy(gen, r):
+    """E = tau(H R) from the dense product H R."""
+    return float((np.trace(hamiltonian(gen) @ r) / gen.dim).real)
 
 
 def star_prime(pgen):

@@ -87,6 +87,25 @@ def test_clifford_answers_at_sixty_generators():
     assert results["relation_residual"] == 0.0
 
 
+@pytest.mark.parametrize("signature", ["127,0", "64,64"])
+def test_clifford_answers_on_towers_of_dimension_two_to_the_sixty_four(signature):
+    # The relation gate's sqrt(dim) takes dim = 2^64, an int beyond int64.
+    payload = parse_envelope(run_cli("clifford", signature, check=True))
+    assert payload["pass"] is True
+    assert payload["results"]["span_dim"] == 2 ** payload["results"]["m"]
+
+
+def test_clifford_rejects_generator_counts_beyond_the_span_bound(monkeypatch, capsys):
+    proc = run_cli("clifford", "2100,0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: generator count 2100 exceeds the span bound 128\n")
+    # The bound is checked before the tower is built.
+    from hodgekit import cli, clifford
+    monkeypatch.setattr(clifford, "build_generators", lambda sig: pytest.fail("tower built"))
+    assert cli.main(["clifford", "129,0"]) == 2
+    assert capsys.readouterr().err == "error: generator count 129 exceeds the span bound 128\n"
+
+
 def test_solve_einstein_round_trip(tmp_path):
     rng = np.random.default_rng(80)
     b_path = tmp_path / "b.json"
@@ -391,6 +410,8 @@ def test_states_stationary_at_large_pairing(tmp_path):
     ("1,0,0,0,0,-1", 1e307 * np.array([1.0, 0, 0, 0, 0, 1]),
      "derivative of F(A) = (A omega, eta) on the perturbed flow"),
     ("1,0,0,0,0,0", 1e308 * np.array([1.0, 0, 0, 0, 0, -1]), "derivative of F(A) = (A omega, eta)"),
+    pytest.param("1" + "0" * 400 + ",0,0,0,0,0", np.array([1.0, 0, 0, 0, 0, 1]),
+                 "coefficient of sigma", id="sigma-1e400"),
 ])
 def test_states_numbers_beyond_the_doubles_exit_two_cleanly(tmp_path, sigma, omega, message):
     omega_path = tmp_path / "omega.json"

@@ -59,15 +59,6 @@ def test_evolve_preserves_trace(gen):
         assert gap < 1e-12
 
 
-def test_hamiltonian_identities(gen):
-    h = dyn.hamiltonian(gen)
-    assert linalg.frobenius(h - linalg.adjoint(h)) < 1e-14
-    np.testing.assert_allclose(h @ h, np.pi * h, atol=1e-13)
-    assert linalg.normalized_trace(h).real == pytest.approx(np.pi / 2.0, abs=1e-14)
-    eigs = np.sort(np.linalg.eigvalsh(h))
-    np.testing.assert_allclose(eigs, [0, 0, 0, np.pi, np.pi, np.pi], atol=1e-13)
-
-
 def test_energy_examples(gen):
     assert dyn.energy(gen, cv.exemplar("s4", 1.0).matrix) == pytest.approx(np.pi / 2.0, abs=1e-12)
     assert dyn.energy(gen, cv.exemplar("cp2", 1.0).matrix) == pytest.approx(np.pi, abs=1e-12)

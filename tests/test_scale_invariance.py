@@ -107,9 +107,9 @@ def test_cli_verdicts_do_not_depend_on_the_radius(exemplar, log_radius):
 
 def _power_of_ten_scan(argv):
     """Exit codes of argv + [name, --params] at every power of ten from
-    1e-170 to 1e170, on the four exemplars: a passing envelope, or exit 2
-    naming the parameter.  Never a failed verdict, a traceback or a
-    floating-point warning."""
+    1e-170 to 1e170, on the four exemplars: a passing envelope whose
+    flow_residual is its commutator_norm, or exit 2 naming the parameter.
+    Never a failed verdict, a traceback or a floating-point warning."""
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -121,7 +121,10 @@ def _power_of_ten_scan(argv):
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     rc = cli.main([*argv, name, "--params", text])
                 if rc == 0:
-                    assert json.loads(out.getvalue())["pass"] is True, text
+                    payload = json.loads(out.getvalue())
+                    assert payload["pass"] is True, text
+                    res = payload["results"]
+                    assert res["flow_residual"] == res["commutator_norm"], (name, text)
                 else:
                     assert rc == 2, (name, text)
                     assert any(f"parameter {p!r} has no finite nonzero curvature" in err.getvalue()
