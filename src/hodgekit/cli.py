@@ -254,12 +254,12 @@ def _cmd_gns(args) -> int:
     if args.state:
         with open(args.state) as fh:
             payload = json.load(fh)
-        if not isinstance(payload, dict) or "densities" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("densities"), list):
             raise ValueError("state file needs a 'densities' list of matrix objects")
         densities = [matrix_from_dict(m) for m in payload["densities"]]
     else:
-        # Default: the trace itself, phi = tau, always faithful.
-        densities = [w / k * np.eye(k) for k, w in alg.summands]
+        # Default: the trace phi = tau, faithful; np.eye first, so a huge k is a ValueError.
+        densities = [np.eye(k) * (w / k) for k, w in alg.summands]
     state = gnsmod.make_state(alg, densities)
     rep = gnsmod.gns_representation(state)
     tol = args.tol
@@ -449,6 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _brief(text: str) -> str:
+    """text with its middle cut out past 160 characters: an error line stays short."""
+    return text if len(text) <= 160 else f"{text[:117]}...{text[-40:]}"
+
+
 # Built by the first `main` call, not at import, and reused: parse_args keeps
 # no state between calls, and building the parser costs about a millisecond.
 _parser = None
@@ -460,9 +465,11 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        if not 0.0 <= args.tol < np.inf:
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {_brief(str(exc))}", file=sys.stderr)
         return 2
 
 

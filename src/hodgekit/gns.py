@@ -190,12 +190,12 @@ class GnsRepresentation:
     gamma: float
     rho_kernel_dim: int
     faithful: bool
-    kernels: tuple = field(init=False, repr=False, compare=False, default=None)  # per density block
+    kernels: tuple = field(repr=False, compare=False)  # orthonormal kernel columns per density block
 
     @cached_property
     def ideal(self) -> tuple:
         """GNS basis of the null ideal, built on first access."""
-        return tuple(_null_basis(self.state.algebra, self.kernels or _kernels(self.state)))
+        return tuple(_null_basis(self.state.algebra, self.kernels))
 
     @property
     def perp_dim(self) -> int:
@@ -230,7 +230,7 @@ def gns_representation(state: AlgebraState) -> GnsRepresentation:
     nullity = [kernel.shape[1] for kernel in kernels]
     ranks = tuple(0 if n else k * k for k, n in zip(alg.dims, nullity))
     dead = alg.total_dim - sum(ranks)
-    rep = GnsRepresentation(
+    return GnsRepresentation(
         state=state,
         ideal_dim=sum(k * n for k, n in zip(alg.dims, nullity)),
         j_dim=dead,
@@ -238,6 +238,5 @@ def gns_representation(state: AlgebraState) -> GnsRepresentation:
         gamma=float(sum(w * r / (k * k) for (k, w), r in zip(alg.summands, ranks))),
         rho_kernel_dim=dead,
         faithful=dead == 0,
+        kernels=kernels,
     )
-    object.__setattr__(rep, "kernels", kernels)
-    return rep

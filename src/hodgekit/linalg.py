@@ -247,49 +247,48 @@ def random_matrix(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.
 
 # ---------------------------------------------------------------------------
 # Serialization.  A matrix is stored as {"dim": d, "entries": [[re, im], ...]}
-# with d*d entries in row-major order; a coefficient vector is stored as
-# {"coefficients": [[re, im], ...]}.
+# with d*d entries in row-major order, a coefficient vector as
+# {"coefficients": [[re, im], ...]}; `_to_pairs` writes both and `_from_pairs` reads both.
 # ---------------------------------------------------------------------------
+
+
+def _to_pairs(a) -> list:
+    """[[re, im], ...] in row-major order: the float64 view of a complex array."""
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+
+
+def _from_pairs(pairs, field: str, count: int | None = None) -> np.ndarray:
+    """[[re, im], ...] read as one float64 array and checked whole; its complex128
+    view keeps every bit, signed zeros included."""
+    try:
+        arr = np.array(pairs, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or beyond the doubles
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"'{field}' must be a list of [re, im] pairs of doubles")
+    if count is not None and len(arr) != count:
+        raise ValueError(f"expected {count} {field}, got {len(arr)}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"'{field}' must be finite numbers")
+    return arr.view(np.complex128)[:, 0]
 
 
 def matrix_to_dict(a) -> dict:
     """Row-major [re, im] pair encoding of a square matrix."""
-    m = as_operator(a)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }
+    return {"dim": len(m := as_operator(a)), "entries": _to_pairs(m)}
 
 
 def matrix_from_dict(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix object needs 'dim' and 'entries' fields")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
+    if type(d := obj["dim"]) is not int or d < 1:
         raise ValueError(f"matrix 'dim' must be a positive integer, got {d!r}")
-    entries = obj["entries"]
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries for dim {d}, got {len(entries)}")
-    flat = np.empty(d * d, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        re, im = _as_pair(pair)
-        flat[k] = complex(re, im)
-    return flat.reshape(d, d)
-
-
-def _as_pair(pair):
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"entry must be a [re, im] pair, got {pair!r}")
-    re, im = float(pair[0]), float(pair[1])
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise ValueError(f"entry must be finite, got {pair!r}")
-    return re, im
+    return _from_pairs(obj["entries"], "entries", d * d).reshape(d, d)
 
 
 def save_matrix(path, a) -> None:
     with open(path, "w") as fh:
-        json.dump(matrix_to_dict(a), fh)
-        fh.write("\n")
+        fh.write(json.dumps(matrix_to_dict(a)) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -298,12 +297,10 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_vector(path, v) -> None:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d coefficient vector, got shape {arr.shape}")
+    if np.ndim(v) != 1:
+        raise ValueError(f"expected a 1-d coefficient vector, got shape {np.shape(v)}")
     with open(path, "w") as fh:
-        json.dump({"coefficients": [[float(z.real), float(z.imag)] for z in arr]}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"coefficients": _to_pairs(v)}) + "\n")
 
 
 def load_vector(path, length: int | None = None) -> np.ndarray:
@@ -311,7 +308,4 @@ def load_vector(path, length: int | None = None) -> np.ndarray:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "coefficients" not in obj:
         raise ValueError("vector object needs a 'coefficients' field")
-    coeffs = obj["coefficients"]
-    if length is not None and len(coeffs) != length:
-        raise ValueError(f"expected {length} coefficients, got {len(coeffs)}")
-    return np.array([complex(*_as_pair(pair)) for pair in coeffs], dtype=np.complex128)
+    return _from_pairs(obj["coefficients"], "coefficients", length)

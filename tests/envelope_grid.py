@@ -4,7 +4,7 @@
     python tests/envelope_grid.py --compare parent.json change.json
 
 The first form imports hodgekit from SRC_DIR and calls `cli.main` in
-process on 222 argvs:
+process on 231 argvs:
 
 - `constants`;
 - `manifold` and `dynamics` on s4, t4_flat, cp2 and s2xs2 at unit and
@@ -27,7 +27,10 @@ process on 222 argvs:
   large block (64:1) or a light one (weight 1e-5), one state at
   subnormal scales 1e-310 and 1e-320, two rank-deficient blocks beside a
   zero block, 3:0.5,3:0.5 at ranks (1, 0), the default trace state with
-  no --state, and a state on the single block 1:1.
+  no --state, and a state on the single block 1:1;
+- six malformed operand files (a boolean dim, a non-list entries or
+  coefficients, a null pair, a 401-digit integer, a non-list densities)
+  and --tol nan, inf and -1, none of which draws from a generator.
 
 Input files are written to a scratch directory under fixed relative
 names, so envelopes that echo a path compare equal across trees.  Each
@@ -123,7 +126,7 @@ def grid():
                                  [scale * rank3, scale * np.eye(2)]) for scale in (1e-310, 1e-320))):
         path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
         argvs.append(["gns", "--algebra", alg, "--state", path])
-    return argvs + _gns_grid()
+    return argvs + _gns_grid() + _malformed_grid()
 
 
 def _gns_grid():
@@ -139,6 +142,25 @@ def _gns_grid():
         path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
         argvs.append(["gns", "--algebra", alg, "--state", path])
     return argvs + [["gns", "--algebra", "5:0.6,1:0.4"]]
+
+
+def _malformed_grid():
+    """Malformed operand files and tolerances outside [0, inf)."""
+    files = {"input_dim_true.json": '{"dim": true, "entries": [[1.0, 0.0]]}',
+             "input_entries_5.json": '{"dim": 1, "entries": 5}',
+             "input_null_pair.json": '{"dim": 1, "entries": [[null, 0]]}',
+             "input_401_digits.json": '{"dim": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
+             "omega_coefficients_5.json": '{"coefficients": 5}',
+             "state_densities_5.json": '{"densities": 5}'}
+    for name, text in files.items():
+        with open(name, "w") as fh:
+            fh.write(text)
+    argvs = [["solve-einstein", "--input", name, "--star", "star_split.json"]
+             for name in files if name.startswith("input_")]
+    argvs += [["states", "--sigma", "1,0,0,0,0,1", "--omega", "omega_coefficients_5.json"],
+              ["gns", "--algebra", "1:1", "--state", "state_densities_5.json"]]
+    return argvs + [["constants", "--tol", "nan"], ["manifold", "s4", "--tol", "inf"],
+                    ["dynamics", "--manifold", "s4", "--tol", "-1"]]
 
 
 def _vacuum_grid():

@@ -557,6 +557,53 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("gns", "--algebra", "2:0.5,2:0.7").returncode == 2
 
 
+def _assert_one_error_line(proc):
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr.encode()) < 200 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("input", '{"dim": true, "entries": [[1.0, 0.0]]}'),
+    ("input", '{"dim": 1, "entries": 5}'),
+    ("input", '{"dim": 1, "entries": [[null, 0]]}'),
+    ("input", '{"dim": 1, "entries": [[1' + "0" * 400 + ', 0]]}'),
+    ("omega", '{"coefficients": 5}'),
+    ("state", '{"densities": 5}'),
+], ids=["dim-true", "entries-5", "null-pair", "401-digit-int", "coefficients-5", "densities-5"])
+def test_malformed_files_exit_two_with_one_line(tmp_path, kind, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    star = tmp_path / "star.json"
+    linalg.save_matrix(star, np.eye(1))
+    argv = {"input": ("solve-einstein", "--input", str(path), "--star", str(star)),
+            "omega": ("states", "--sigma", "1,0,0,0,0,1", "--omega", str(path)),
+            "state": ("gns", "--algebra", "1:1", "--state", str(path))}[kind]
+    _assert_one_error_line(run_cli(*argv))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_is_checked_before_any_work(monkeypatch, capsys, tol):
+    from hodgekit import cli, curvature
+
+    monkeypatch.setattr(curvature, "exemplar", lambda *a: pytest.fail("work done"))
+    assert cli.main(["manifold", "s4", "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: --tol must be finite and >= 0, got {float(tol)!r}\n")
+    _assert_one_error_line(run_cli("constants", "--tol", tol))
+
+
+@pytest.mark.parametrize("argv", [
+    ("clifford", "1" + "0" * 4000 + ",0"),
+    ("gns", "--algebra", "1" + "0" * 4000 + ":1"),
+    ("clifford", "1" + "0" * 5000 + ",0"),
+    ("manifold", "s4", "--params", "x" * 5000),
+    ("gns", "--algebra", "2:" + "y" * 5000),
+], ids=["clifford-4001-digits", "gns-4001-digits", "ints-5001-digits", "floats", "algebra"])
+def test_arguments_thousands_of_digits_long_exit_two_with_one_short_line(argv):
+    _assert_one_error_line(run_cli(*argv))
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     from hodgekit import cli
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgekit import curvature as cv
 from hodgekit import linalg
@@ -164,6 +166,53 @@ def test_vector_json_rejections(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             linalg.load_vector(path)
+
+
+_DOUBLE_MAX = np.finfo(np.float64).max
+_SPECIAL_PARTS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, _DOUBLE_MAX, -_DOUBLE_MAX])
+
+
+def _oracle_pairs(a):
+    """The per-entry encoding the [re, im] codec replaced, kept as its oracle."""
+    return [[float(z.real), float(z.imag)] for z in a.ravel()]
+
+
+def _parts(seed, share, shape):
+    """Complex array whose real and imaginary parts are Gaussians at 10^[-300, 300], each
+    replaced with probability share by a signed zero, a subnormal or +-max."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((*shape, 2)) * 10.0 ** rng.uniform(-300, 300, (*shape, 2))
+    special = rng.random(parts.shape) < share
+    parts[special] = rng.choice(_SPECIAL_PARTS, np.count_nonzero(special))
+    return parts.view(np.complex128)[..., 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 16), n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from([0.0, 0.3, 1.0]))
+def test_pair_codec_round_trips_bit_for_bit_with_the_per_entry_text(tmp_path_factory, d, n,
+                                                                     seed, share):
+    """Matrices and vectors survive a round trip through their JSON files with every
+    bit, signed zeros included, and the text equals the per-entry encoding's."""
+    a = _parts(seed, share, (d, d))
+    text = json.dumps(linalg.matrix_to_dict(a))
+    assert text == json.dumps({"dim": d, "entries": _oracle_pairs(a)})
+    assert linalg.matrix_from_dict(json.loads(text)).tobytes() == a.tobytes()
+    v = _parts(seed + 1, share, (n,))
+    path = tmp_path_factory.mktemp("codec") / "v.json"
+    linalg.save_vector(path, v)
+    assert path.read_text() == json.dumps({"coefficients": _oracle_pairs(v)}) + "\n"
+    assert linalg.load_vector(path, length=n).tobytes() == v.tobytes()
+
+
+def test_pair_decoder_rejects_malformed_entries_with_value_errors():
+    for entries in (5, None, "12", {"a": 1}, [[None, 0.0]], [[1.0, [2.0]]], [[[1.0, 2.0]]],
+                    [[1.0, 2.0, 3.0]], [1.0, 2.0], [[10**401, 0]], [["x", 0]]):
+        with pytest.raises(ValueError, match="entries"):
+            linalg.matrix_from_dict({"dim": 1, "entries": entries})
+    for dim in (True, 1.0, "1", 0, None):
+        with pytest.raises(ValueError, match="'dim' must be a positive integer"):
+            linalg.matrix_from_dict({"dim": dim, "entries": [[1.0, 0.0]]})
 
 
 def test_frobenius_is_safe_over_the_double_range():
