@@ -14,7 +14,6 @@ from .linalg import (
     as_operator,
     expm_normal,
     frobenius,
-    kron,
     load_matrix,
     load_vector,
     matrix_from_dict,

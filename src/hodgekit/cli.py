@@ -274,11 +274,11 @@ def _cmd_gns(args) -> int:
             rx, ry = rep.represent(x), rep.represent(y)
             mult = max(mult, frobenius(rep.represent(alg.mul(x, y)) - rx @ ry))
             star_res = max(star_res, frobenius(rep.represent(alg.adj(x)) - rx.conj().T))
-    ideal_res = gnsmod.left_ideal_residual(state, rep.ideal, rng)
+    ideal_res = gnsmod.left_ideal_residual(state, rep.ideal)
 
-    # Scale 1: the state has unit mass and the samples unit scale.
-    ok = (0.0 <= rep.gamma <= 1.0
-          and all(within(res, 1.0, tol) for res in (mult, star_res, unit_res, ideal_res)))
+    # Scale 1: the state has unit mass, the samples unit scale and gamma lies in [0, 1].
+    ok = all(within(res, 1.0, tol)
+             for res in (mult, star_res, unit_res, ideal_res, -rep.gamma, rep.gamma - 1.0))
     results = {
         "total_dim": alg.total_dim,
         "ideal_dim": rep.ideal_dim,

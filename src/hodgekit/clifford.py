@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_operator, kron
+from .linalg import as_operator
 
 # The Pauli factor 1, X, Z or Y selected by the bits (x_q, z_q) of one qubit.
 _PAULI = {
@@ -151,7 +151,7 @@ def embed_up(a, levels: int = 1) -> np.ndarray:
     out = as_operator(a)
     eye2 = np.eye(2, dtype=np.complex128)
     for _ in range(levels):
-        out = kron(eye2, out)
+        out = np.kron(eye2, out)
     return out
 
 

@@ -231,11 +231,6 @@ def _signed_take(m, index, sign, axis) -> np.ndarray:
     return out
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; kron(I_2, A) = diag(A, A) is the tower doubling."""
-    return np.kron(as_operator(a), as_operator(b))
-
-
 def random_matrix(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     """Complex Gaussian matrix, independent N(0, scale^2/2) real and imaginary parts."""
     if dim < 1:

@@ -4,7 +4,7 @@
     python tests/envelope_grid.py --compare parent.json change.json
 
 The first form imports hodgekit from SRC_DIR and calls `cli.main` in
-process on 231 argvs:
+process on 234 argvs:
 
 - `constants`;
 - `manifold` and `dynamics` on s4, t4_flat, cp2 and s2xs2 at unit and
@@ -27,7 +27,9 @@ process on 231 argvs:
   large block (64:1) or a light one (weight 1e-5), one state at
   subnormal scales 1e-310 and 1e-320, two rank-deficient blocks beside a
   zero block, 3:0.5,3:0.5 at ranks (1, 0), the default trace state with
-  no --state, and a state on the single block 1:1;
+  no --state, a state on the single block 1:1, the trace state on
+  1:0.33,1:0.56,1:0.11 (weights that sum to 1 only within rounding), a
+  128-block of rank 127, and diag(1, 1e-11) on 2:1 at --tol 1e-12;
 - six malformed operand files (a boolean dim, a non-list entries or
   coefficients, a null pair, a 401-digit integer, a non-list densities)
   and --tol nan, inf and -1, none of which draws from a generator.
@@ -126,7 +128,7 @@ def grid():
                                  [scale * rank3, scale * np.eye(2)]) for scale in (1e-310, 1e-320))):
         path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
         argvs.append(["gns", "--algebra", alg, "--state", path])
-    return argvs + _gns_grid() + _malformed_grid()
+    return argvs + _gns_grid() + _ideal_grid() + _malformed_grid()
 
 
 def _gns_grid():
@@ -142,6 +144,19 @@ def _gns_grid():
         path = _write(f"state_{name}.json", {"densities": [_matrix(d) for d in blocks]})
         argvs.append(["gns", "--algebra", alg, "--state", path])
     return argvs + [["gns", "--algebra", "5:0.6,1:0.4"]]
+
+
+def _ideal_grid():
+    """gns on weights that sum to 1 only within rounding, on one 128-block of
+    rank 127, and on a null eigenvalue 1e-11 at --tol 1e-12, which moves the
+    ideal gate but not the rank cutoff.  Its own generator leaves the draws
+    of the other inputs unchanged."""
+    rng = np.random.default_rng(128)
+    _write("state_k128.json", {"densities": [_matrix(_density(rng, 128, 127))]})
+    _write("state_null_1e-11.json", {"densities": [_matrix(np.diag([1.0, 1e-11]))]})
+    return [["gns", "--algebra", "1:0.33,1:0.56,1:0.11"],
+            ["gns", "--algebra", "128:1", "--state", "state_k128.json"],
+            ["gns", "--algebra", "2:1", "--state", "state_null_1e-11.json", "--tol", "1e-12"]]
 
 
 def _malformed_grid():

@@ -15,10 +15,13 @@ eigendecomposition per density block.  The GNS coordinates (`trace`,
 `inner`, `coords`) and the state functional `phi` live here too: only
 the brute-force pipeline needs them.
 
-`represent` (rho(x) through `np.kron`) and `left_ideal_residual` (every
-block of every ideal element multiplied) are the library's earlier
-kernels, kept as bitwise references for the ones that skip kron's
-dispatch and the zero blocks.
+`null_basis` builds the dense GNS basis of the null ideal from the
+library's kernel columns, and `projector` the projection onto J-perp;
+the library keeps neither.  `left_ideal_residual` samples B = X A over
+such a basis, multiplying every block: the brute force behind the
+library's closed-form Rayleigh quotient.  `represent` (rho(x) through
+`np.kron`) is the library's earlier kernel, kept as a bitwise reference
+for the one that skips kron's dispatch.
 """
 
 from dataclasses import dataclass
@@ -94,6 +97,28 @@ def represent(rep, x) -> np.ndarray:
             out[pos:pos + r, pos:pos + r] = np.kron(b, np.eye(k))
             pos += r
     return out
+
+
+def null_basis(alg, ideal) -> list:
+    """Orthonormal (GNS) basis of the null ideal from its kernel columns.
+
+    Block i contributes sqrt(k_i / lambda_i) e_a v* for each row a and
+    each kernel column v of ideal[i]: a basis of m_{k_i} (1 - P_i).
+    """
+    out = []
+    for idx, ((k, w), kernel) in enumerate(zip(alg.summands, ideal)):
+        for v in kernel.T:
+            for a in range(k):
+                blocks = alg.zero()
+                blocks[idx][a] = np.sqrt(k / w) * v.conj()
+                out.append(blocks)
+    return out
+
+
+def projector(rep) -> np.ndarray:
+    """Orthogonal projection onto J-perp, the faithful blocks, in GNS coordinates."""
+    return np.diag(np.repeat([float(r > 0) for r in rep.per_summand_ranks],
+                             [k * k for k in rep.state.algebra.dims]))
 
 
 def left_ideal_residual(state, ideal, rng, samples=5) -> float:

@@ -312,6 +312,30 @@ def test_gns_subnormal_densities(tmp_path, scale):
         assert re.fullmatch(r"error: density blocks [^\n]*\n", proc.stderr), proc.stderr
 
 
+def test_gns_gamma_gate_allows_rounding_of_the_weights():
+    # The weights sum to 1 within INPUT_TOL, so the faithful trace state's
+    # gamma, their sum, reads 1.0000000000000002; an exact [0, 1] gate failed it.
+    proc = run_cli("gns", "--algebra", "1:0.33,1:0.56,1:0.11")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = parse_envelope(proc)
+    assert payload["pass"] is True and payload["results"]["faithful"] is True
+    assert payload["results"]["gamma"] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol, code", [(None, 0), ("1e-12", 1)])
+def test_gns_tol_moves_the_ideal_gate_but_not_the_rank(tmp_path, tol, code):
+    # The null eigenvalue 1e-11 is below the fixed rank cutoff DEFAULT_TOL,
+    # so the ideal is the same at every --tol; its residual is that eigenvalue.
+    path = tmp_path / "state.json"
+    _write_state(path, [np.diag([1.0, 1e-11])])
+    proc = run_cli("gns", "--algebra", "2:1", "--state", str(path),
+                   *(["--tol", tol] if tol else []))
+    assert (proc.returncode, proc.stderr) == (code, "")
+    results = parse_envelope(proc)["results"]
+    assert results["ideal_dim"] == 2
+    assert results["left_ideal_residual"] == pytest.approx(1e-11, rel=1e-9)
+
+
 def test_dynamics_fixed_point():
     proc = run_cli("dynamics", "--manifold", "cp2", "--params", "1", check=True)
     results = parse_envelope(proc)["results"]

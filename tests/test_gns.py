@@ -119,14 +119,18 @@ def test_make_state_does_not_depend_on_units():
 # ---------------------------------------------------------------------------
 
 
+def _ideal_basis(state):
+    return gns_oracle.null_basis(state.algebra, gns.gns_null_ideal(state))
+
+
 def test_faithful_state_has_trivial_ideal():
     state = gns.make_state(_m2(), [np.eye(2)])
-    assert gns.gns_null_ideal(state) == []
+    assert _ideal_basis(state) == []
 
 
 def test_corner_state_ideal_kills_the_first_column():
     state = gns.make_state(_m2(), [np.diag([1.0, 0.0])])
-    ideal = gns.gns_null_ideal(state)
+    ideal = _ideal_basis(state)
     assert len(ideal) == 2
     for elem in ideal:
         # phi(A* A) picks up the first column, so it must vanish.
@@ -137,7 +141,9 @@ def test_ideal_is_a_left_ideal():
     rng = np.random.default_rng(63)
     state = random_rank_state(_mixed(), rng, (1, 2, 0))
     ideal = gns.gns_null_ideal(state)
-    assert gns.left_ideal_residual(state, ideal, rng, samples=8) < 1e-12
+    basis = gns_oracle.null_basis(state.algebra, ideal)
+    assert gns_oracle.left_ideal_residual(state, basis, rng, samples=8) < 1e-12
+    assert gns.left_ideal_residual(state, ideal) < 1e-12
 
 
 @hs.composite
@@ -161,21 +167,20 @@ def rank_deficient_states(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rank_deficient_states(), hs.integers(0, 2**32 - 1))
-def test_left_ideal_residual_does_not_depend_on_block_size_or_weight(drawn, seed):
+@given(rank_deficient_states())
+def test_left_ideal_residual_does_not_depend_on_block_size_or_weight(drawn):
     # phi(B* B) / Tr(B* B) is at most the largest null eigenvalue on the
     # ideal, however large k / lambda makes phi(B* B) itself.
     state, ideal_dim = drawn
     rep = gns.gns_representation(state)
     assert rep.ideal_dim == ideal_dim
-    res = gns.left_ideal_residual(state, rep.ideal, np.random.default_rng(seed), samples=2)
-    assert res <= DEFAULT_TOL
+    assert gns.left_ideal_residual(state, rep.ideal) <= DEFAULT_TOL
 
 
 def test_ideal_elements_are_orthonormal():
     rng = np.random.default_rng(64)
     state = random_rank_state(_mixed(), rng, (1, 1, 1))
-    ideal = gns.gns_null_ideal(state)
+    ideal = _ideal_basis(state)
     columns = np.column_stack([gns_oracle.coords(state.algebra, x) for x in ideal])
     gram = columns.conj().T @ columns
     assert np.linalg.norm(gram - np.eye(len(ideal))) < 1e-10
@@ -185,7 +190,7 @@ def test_ideal_matches_kernel_oracle_dimensions():
     rng = np.random.default_rng(65)
     for ranks in ((2, 3, 1), (1, 2, 0), (0, 0, 1), (2, 0, 1)):
         state = random_rank_state(_mixed(), rng, ranks)
-        ideal = gns.gns_null_ideal(state)
+        ideal = _ideal_basis(state)
         want = sum(k * (k - r) for k, r in zip((2, 3, 1), ranks))
         assert len(ideal) == want
         assert len(kernel_ideal(state)) == want
@@ -199,8 +204,8 @@ def test_ideal_depends_only_on_the_support():
     boosted = gns.make_state(
         alg, [d @ (d + np.eye(len(d))) for d in state.densities]
     )
-    ideal_a = gns.gns_null_ideal(state)
-    ideal_b = gns.gns_null_ideal(boosted)
+    ideal_a = _ideal_basis(state)
+    ideal_b = _ideal_basis(boosted)
     assert len(ideal_a) == len(ideal_b)
     span_a = np.column_stack([gns_oracle.coords(alg, x) for x in ideal_a])
     span_b = np.column_stack([gns_oracle.coords(alg, x) for x in ideal_b])
@@ -223,7 +228,7 @@ def test_trace_state_gives_faithful_left_regular_representation():
     assert rep.gamma == 1.0
     assert rep.faithful is True
     assert rep.rho_kernel_dim == 0
-    np.testing.assert_allclose(rep.projector(), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(gns_oracle.projector(rep), np.eye(4), atol=1e-12)
 
 
 def test_corner_state_gives_trivial_representation():
@@ -236,7 +241,7 @@ def test_corner_state_gives_trivial_representation():
     assert rep.faithful is False
     assert rep.rho_kernel_dim == 4
     assert rep.represent(state.algebra.identity()).shape == (0, 0)
-    np.testing.assert_allclose(rep.projector(), np.zeros((4, 4)), atol=1e-14)
+    np.testing.assert_allclose(gns_oracle.projector(rep), np.zeros((4, 4)), atol=1e-14)
 
 
 def test_half_killed_sum_gives_gamma_one_half():
@@ -302,7 +307,7 @@ def test_obstruction_space_is_left_invariant():
     state = random_rank_state(_mixed(), rng, (1, 2, 0))
     rep = gns.gns_representation(state)
     alg = state.algebra
-    proj_perp = rep.projector()
+    proj_perp = gns_oracle.projector(rep)
     proj_j = np.eye(alg.total_dim) - proj_perp
     for _ in range(5):
         lx = gns_oracle.left_mult_matrix(alg, alg.random_element(rng))
