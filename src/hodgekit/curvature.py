@@ -40,6 +40,9 @@ BASIS_CHANGE = (1.0 / np.sqrt(2.0)) * np.vstack([(np.eye(6) + STANDARD_STAR)[:3]
 # The star in its own eigenbasis.
 SPLIT_STAR = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
+# The names exemplar() accepts, in the order the CLI lists them.
+EXEMPLARS = ("s4", "t4_flat", "s2xs2", "cp2")
+
 
 @dataclass(frozen=True)
 class CurvatureOperator:
@@ -168,7 +171,7 @@ def exemplar(name: str, *params: float) -> ManifoldModel:
         op = CurvatureOperator(scal=scal, weyl_plus=wp,
                                weyl_minus=np.zeros((3, 3)), ric0=np.zeros((3, 3)))
         return ManifoldModel("cp2", params, op, True, 6.0 / lam)
-    raise ValueError(f"unknown exemplar {name!r}; choose s4, t4_flat, s2xs2 or cp2")
+    raise ValueError(f"unknown exemplar {name!r}; choose one of {', '.join(EXEMPLARS)}")
 
 
 def _positive_params(name, params, count, power):

@@ -1,12 +1,20 @@
 """End-to-end CLI runs: envelopes, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from hodgekit import curvature as cv
 from hodgekit import linalg
@@ -643,3 +651,137 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     code = "import hodgekit.cli as c; print(c._parser)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "None\n"
+
+
+def test_out_of_memory_exits_two_with_one_line():
+    # represent() asks numpy for 121 GiB at perp_dim 90,000; the child alone
+    # runs under a 4 GiB address-space limit, so the request fails at once.
+    # One BLAS thread keeps the library's own buffers well inside the limit.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "hodgekit", "gns", "--algebra", "300:1"],
+                          capture_output=True, text=True, preexec_fn=limit, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    _assert_one_error_line(proc)
+    assert "Unable to allocate" in proc.stderr
+
+
+def _symmetric(seed, log_scale, negative_zeros):
+    """A random symmetric 6x6 matrix at 10^log_scale, with -0.0 on the masked diagonal."""
+    g = np.random.default_rng(seed).standard_normal((6, 6))
+    r = 10.0 ** log_scale * (g + g.T)
+    r[np.diag_indices(6)] = np.where(negative_zeros, -0.0, np.diag(r))
+    return r
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+symmetric_matrices = hst.builds(_symmetric, hst.integers(0, 2**32 - 1), hst.integers(-300, 300),
+                                hst.lists(hst.booleans(), min_size=6, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices)
+@example(-0.0 * np.ones((6, 6)))
+def test_manifold_tau_is_tau_operator_bit_for_bit(r):
+    from hodgekit import cli
+
+    model = SimpleNamespace(name="s4", params=(), matrix=r, curvature=SimpleNamespace(scal=0.0),
+                            expected_einstein=False, expected_lambda=None)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cv, "exemplar", lambda *args: model)
+        assert cli.main(["manifold", "s4"]) in (0, 1)
+    # 17 digits give the double back, and parse_int keeps the sign of "-0".
+    tau = json.loads(out.getvalue(), parse_int=float)["results"]["tau"]
+    assert _same_bits(tau, cv.tau_operator([(1.0, r)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices, hst.lists(hst.integers(-3, 3), min_size=6, max_size=6),
+       hst.integers(0, 2**32 - 1))
+def test_states_perturbed_probe_is_perturbed_stationarity_bit_for_bit(a, sigma, seed):
+    from hodgekit import cli, dynamics, states
+
+    g = np.random.default_rng(seed).standard_normal((2, 6))
+    omega = g[0] + 1j * g[1]
+    probe, out = states.stationarity_derivative, io.StringIO()
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out):
+        path = str(Path(work) / "omega.json")
+        linalg.save_vector(path, omega)
+        # Both probes of `states` run on `a` in place of its 20 drawn samples.
+        mp.setattr(states, "stationarity_derivative",
+                   lambda s, o, gen, _, *times: probe(s, o, gen, a, *times))
+        argv = ["states", "--sigma=" + ",".join(map(str, sigma)), "--omega", path]
+        assert cli.main(argv) in (0, 1)
+    results = json.loads(out.getvalue(), parse_int=float)["results"]
+    sigma, gen = states.TorusSurfaceClass(sigma), cli._flow(split=False)
+    base = probe(sigma, omega, gen, a)
+    perturbed = states.perturbed_stationarity(sigma, omega, dynamics.perturbed_star(gen, 0.1, -1), a)
+    assert _same_bits(results["max_derivative"], base)
+    assert _same_bits(results["max_perturbed_derivative"], max(base, perturbed))
+
+
+def test_envelope_grid_keeps_the_exit_contract(monkeypatch, tmp_path):
+    # The 234 argvs of tests/envelope_grid.py, in process; run() changes the
+    # working directory and sys.path, which monkeypatch puts back.
+    import envelope_grid
+    from hodgekit import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    records = envelope_grid.run(str(Path(cli.__file__).parents[1]))
+    codes = [r["code"] for r in records]
+    assert (codes.count(0), codes.count(1), codes.count(2)) == (202, 10, 22)
+    for r in records:
+        if r["code"] == 2:
+            assert r["stdout"] == "", r["argv"]
+            line, end, rest = r["stderr"].partition("\n")
+            assert line.startswith("error: ") and len(line) <= 160 and (end, rest) == ("\n", "")
+        else:
+            assert r["stderr"] == "", r["argv"]
+            assert json.loads(r["stdout"])["pass"] is (r["code"] == 0), r["argv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("manifold", "s4"),
+    ("dynamics", "--manifold", "s4"),
+    ("solve-einstein", "--input", "b.json", "--star", "star.json"),
+    ("constants",),
+])
+def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
+    from hodgekit import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, "--seed", "3"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hodgekit ")
+    assert err.endswith("hodgekit: error: unrecognized arguments: --seed 3\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("clifford", "1,3"),
+    ("gns", "--algebra", "1:1"),
+    ("states", "--sigma", "1,0,0,0,0,1", "--omega", "omega.json"),
+])
+def test_seed_is_read_where_residuals_are_sampled(argv):
+    from hodgekit import cli
+
+    assert cli.build_parser().parse_args([*argv, "--seed", "3"]).seed == 3
+
+
+def test_help_lists_the_subcommands_in_order(capsys):
+    from hodgekit import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    listed = "{manifold,clifford,solve-einstein,gns,dynamics,states,constants}"
+    assert listed in capsys.readouterr().out
